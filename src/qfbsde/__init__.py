@@ -33,7 +33,6 @@ from .core import (  # noqa: E402
     increasing_envelope,
     rho_truncate,
     rho_truncate_deriv,
-    rho_truncate_vec,
     transform_residual,
     transform_tables,
     upsilon1,
@@ -119,7 +118,7 @@ __all__ = [
     "DriverAudit", "DriverSpec", "EnvelopeTable", "FBSDEProblem",
     "QfbsdeError", "RunConfig", "TimeGrid", "TransformTables",
     "UNTRUNCATED", "ValidationError", "increasing_envelope",
-    "rho_truncate", "rho_truncate_deriv", "rho_truncate_vec",
+    "rho_truncate", "rho_truncate_deriv",
     "transform_residual", "transform_tables", "upsilon1", "upsilon2",
     "validate_driver",
     # forward

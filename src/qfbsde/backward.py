@@ -238,6 +238,14 @@ class _StepRegressor:
             g = g + basis.ridge * np.eye(g.shape[0])
         self.gram = g
 
+    def _coef(self, y2: np.ndarray) -> np.ndarray:
+        """Normal-equation coefficients for ``(M, k)`` targets."""
+        rhs = self.a.T @ y2
+        try:
+            return np.linalg.solve(self.gram, rhs)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+
     def fit(self, targets: np.ndarray) -> FittedRegression:
         y = np.asarray(targets, dtype=float)
         squeeze = y.ndim == 1
@@ -248,13 +256,8 @@ class _StepRegressor:
                 basis=self.basis, coef=np.zeros((0, y2.shape[1])),
                 col_scale=np.ones(0), kept=self.kept, mean_only=True,
                 mean_value=mv, squeeze=squeeze)
-        rhs = self.a.T @ y2
-        try:
-            coef = np.linalg.solve(self.gram, rhs)
-        except np.linalg.LinAlgError:
-            coef = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
         return FittedRegression(
-            basis=self.basis, coef=coef, col_scale=self.col_scale,
+            basis=self.basis, coef=self._coef(y2), col_scale=self.col_scale,
             kept=self.kept, mean_only=False,
             mean_value=np.zeros(y2.shape[1]), squeeze=squeeze)
 
@@ -274,12 +277,7 @@ class _StepRegressor:
         if self.mean_only:
             out = np.broadcast_to(y2.mean(axis=0), y2.shape).copy()
         else:
-            rhs = self.a.T @ y2
-            try:
-                coef = np.linalg.solve(self.gram, rhs)
-            except np.linalg.LinAlgError:
-                coef = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
-            out = self.a @ coef
+            out = self.a @ self._coef(y2)
         if const.any():
             out[:, const] = lo[const]
         return out[:, 0] if squeeze else out
@@ -319,8 +317,8 @@ class BackwardSolution:
 
     ``y`` has shape ``(M, N+1)``; ``z`` has shape ``(M, N, d)`` (the control
     lives on steps, not nodes).  ``diagnostics`` records per-step Picard
-    behaviour, realized input magnitudes seen by the driver, the sup-node
-    value bound, and the grid-proxy BMO estimate of ``z``.
+    behaviour, realized input magnitudes seen by the driver, and the
+    sup-node value bound.
     """
 
     grid: TimeGrid
@@ -424,11 +422,9 @@ def lsmc_solve(
         "realized_driver_y_max": realized_y_max,
         "realized_driver_z_max": realized_z_max,
     }
-    solution = BackwardSolution(
+    return BackwardSolution(
         grid=grid, y=y, z=z, truncation_n=truncation_n, basis=basis,
         config=config, diagnostics=diagnostics)
-    diagnostics["z_bmo"] = estimate_bmo(solution, ensemble)
-    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +503,8 @@ def apriori_check(
     """
     y_bound = problem.y_sup_bound()
     bmo_sq_bound = problem.z_bmo_bound(use_proof_integrand=use_proof_integrand)
-    y_obs = float(solution.diagnostics.get("sup_y_node", np.abs(solution.y).max()))
-    bmo_obs = float(solution.diagnostics.get(
-        "z_bmo", estimate_bmo(solution, ensemble)))
+    y_obs = float(solution.diagnostics["sup_y_node"])
+    bmo_obs = estimate_bmo(solution, ensemble)
     bmo_bound = math.sqrt(bmo_sq_bound)
     return BoundsReport(
         y_bound=y_bound,

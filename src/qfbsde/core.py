@@ -30,7 +30,6 @@ __all__ = [
     "ValidationError",
     "UNTRUNCATED",
     "rho_truncate",
-    "rho_truncate_vec",
     "rho_truncate_deriv",
     "EnvelopeTable",
     "increasing_envelope",
@@ -110,11 +109,6 @@ def rho_truncate(x, n: int):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def rho_truncate_vec(z, n: int):
-    """Componentwise truncation of a vector (or batch of vectors)."""
-    return rho_truncate(z, n)
 
 
 def rho_truncate_deriv(x, n: int):
@@ -419,7 +413,7 @@ class DriverSpec:
         base = self
 
         def g_n(t, x, y, z):
-            return base.g(t, x, rho_truncate(y, level), rho_truncate_vec(z, level))
+            return base.g(t, x, rho_truncate(y, level), rho_truncate(z, level))
 
         def wrap_grad(grad, which):
             if grad is None:
@@ -427,7 +421,7 @@ class DriverSpec:
 
             def g_grad(t, x, y, z):
                 yt = rho_truncate(y, level)
-                zt = rho_truncate_vec(z, level)
+                zt = rho_truncate(z, level)
                 val = grad(t, x, yt, zt)
                 if which == "y":
                     return val * rho_truncate_deriv(y, level)
@@ -514,7 +508,6 @@ class RunConfig:
     n_paths: int = 1024
     picard_tol: float = 1e-10
     picard_max: int = 50
-    ridge: float = 1e-10
     center_z_regression: bool = True
 
     def __post_init__(self):
@@ -524,8 +517,6 @@ class RunConfig:
             raise ValidationError("picard_tol must be positive")
         if self.picard_max < 1:
             raise ValidationError("picard_max must be >= 1")
-        if self.ridge < 0:
-            raise ValidationError("ridge must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

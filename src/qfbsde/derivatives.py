@@ -299,10 +299,11 @@ def solve_malliavin_bsde(
     The forward Malliavin derivative is ``D_u X_t = nablaX_t (nablaX_u)^{-1}``
     for ``t >= u`` (diffusion coefficient is the identity).  In reduced
     coordinates the anchor drops out of the backward equation entirely, so
-    the per-anchor inductions differ only in their span; the anchor
-    re-enters through the reconstruction factors ``D_u X``.  Fields are
-    stored from the anchor onward; the value before the anchor is
-    identically zero and never materialized.
+    one induction from the earliest anchor serves them all: each anchor
+    reads its span off that run and re-enters only through the
+    reconstruction factors ``D_u X``.  Fields are stored from the anchor
+    onward; the value before the anchor is identically zero and never
+    materialized.
     """
     n = ensemble.grid.n_steps
     anchors = tuple(sorted(set(int(u) for u in anchors)))
@@ -311,22 +312,22 @@ def solve_malliavin_bsde(
     if anchors[0] < 0 or anchors[-1] >= n:
         raise ValidationError(f"anchors must lie in [0, {n - 1}]")
     x_term = ensemble.paths[:, -1, :]
-    phi_grad = _terminal_gradient(problem, x_term)
+    u0 = anchors[0]
+    v, w = _linear_backward(
+        problem, ensemble, flow, base, basis, config,
+        terminal_value=_terminal_gradient(problem, x_term), start_index=u0)
     dy: dict[int, np.ndarray] = {}
     dz: dict[int, np.ndarray] = {}
     for u in anchors:
-        v, w = _linear_backward(
-            problem, ensemble, flow, base, basis, config,
-            terminal_value=phi_grad, start_index=u)
         span = n - u
         du_y = np.empty((v.shape[0], span + 1, v.shape[2]))
         du_z = np.empty((w.shape[0], span, w.shape[2], w.shape[3]))
         for i in range(u, n + 1):
             dux = malliavin_forward(flow, u, i)
-            du_y[:, i - u, :] = np.einsum("mk,mkl->ml", v[:, i - u, :], dux)
+            du_y[:, i - u, :] = np.einsum("mk,mkl->ml", v[:, i - u0, :], dux)
             if i < n:
                 du_z[:, i - u] = np.einsum(
-                    "mkl,mka->mal", w[:, i - u, :, :], dux)
+                    "mkl,mka->mal", w[:, i - u0, :, :], dux)
         dy[u] = du_y
         dz[u] = du_z
     return dy, dz
@@ -396,6 +397,15 @@ def representation_check(
     All contractions anchor the flow at the differentiation time ``u`` (the
     identity's own base point); deviations are mean absolute gaps normalized
     by the mean magnitude of the right-hand side.
+
+    The identities are not equally independent.  ``control_gradient`` is
+    the only one that compares two independent estimators: ``Z`` comes from
+    the base LSMC solve, ``nablaY`` from the linear gradient induction.  The
+    Malliavin fields are slices of the same reduced induction as the
+    gradient, reconstructed against ``D_u X`` instead of ``nablaX``, so
+    ``malliavin_value`` and ``malliavin_control`` only measure the round-off
+    of that reconstruction (``nablaX_t (nablaX_u)^{-1} nablaX_u`` against
+    ``nablaX_t``), not a second estimate.
     """
     n = base.z.shape[1]
     out: dict[str, dict] = {}

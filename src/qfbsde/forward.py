@@ -70,9 +70,6 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.paths.shape[2]
 
-    def states(self, i: int) -> np.ndarray:
-        return self.paths[:, i, :]
-
 
 def sample_brownian(grid: TimeGrid, n_paths: int, dim: int, seed: int) -> np.ndarray:
     """Brownian increments of shape ``(n_paths, N, dim)`` on ``grid``.
@@ -511,12 +508,7 @@ def continuity_diagnostic(
     def paths_from(x0_key):
         if x0_key not in cache:
             start = np.asarray(x0_key, dtype=float)
-            prob = FBSDEProblem(
-                dim=d, x0=start, drift=problem.drift, terminal=problem.terminal,
-                driver=problem.driver, horizon=problem.horizon,
-                terminal_bound=problem.terminal_bound,
-                drift_bound=problem.drift_bound, label=problem.label)
-            cache[x0_key] = euler_maruyama(prob, grid, inc).paths
+            cache[x0_key] = euler_maruyama(problem, grid, inc, x0=start).paths
         return cache[x0_key]
 
     for idx, (s, t, x, y) in enumerate(pairs):

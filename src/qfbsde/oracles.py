@@ -189,8 +189,10 @@ def domination_oracle(
     expectations at those nodes are evaluated per outer path and returned as
     ``y_field``.
     """
-    if problem.terminal_bound is None:
-        raise ValidationError("domination oracle needs a bounded terminal")
+    if not math.isfinite(problem.terminal_bound):
+        raise ValidationError(
+            f"domination oracle needs a bounded terminal, but {problem.label!r} "
+            f"has an unbounded one (terminal_bound={problem.terminal_bound})")
     if f is None:
         if problem.driver.f is None:
             raise ValidationError(
@@ -360,7 +362,7 @@ def nested_mc_ce(
     sub = TimeGrid(times - times[0])
     est = np.empty(states.shape[0])
     se = np.empty(states.shape[0])
-    shifted = _ShiftedClock(problem, times[0])
+    shifted = problem.with_drift(lambda t, x: problem.drift(times[0] + t, x))
     for k, x in enumerate(states):
         # substreams are keyed on the state value itself (not its position),
         # which is what makes the estimates order-independent
@@ -376,17 +378,3 @@ def nested_mc_ce(
         se[k] = vals.std(ddof=1) / math.sqrt(inner_paths)
     return est, se
 
-
-class _ShiftedClock:
-    """Problem view whose drift clock starts at an interior time."""
-
-    def __init__(self, problem: FBSDEProblem, t0: float):
-        self._problem = problem
-        self._t0 = t0
-        self.dim = problem.dim
-        self.x0 = problem.x0
-        self.terminal = problem.terminal
-        self.drift_bound = problem.drift_bound
-
-    def drift(self, t, x):
-        return self._problem.drift(self._t0 + t, x)

@@ -25,7 +25,12 @@ import numpy as np
 
 from .core import QfbsdeError, TimeGrid
 from .forward import simulate, variational_flow
-from .backward import apriori_check, lsmc_solve, stabilization_level
+from .backward import (
+    apriori_check,
+    estimate_bmo,
+    lsmc_solve,
+    stabilization_level,
+)
 from .oracles import domination_oracle, linear_oracle
 from .analysis import (
     path_regularity_stat,
@@ -82,7 +87,7 @@ def _kind_solve(config):
     report = {
         "y0": sol.y0,
         "sup_y_node": float(sol.diagnostics["sup_y_node"]),
-        "z_bmo": float(sol.diagnostics["z_bmo"]),
+        "z_bmo": estimate_bmo(sol, ensemble),
         "picard_iters_max": int(np.max(sol.diagnostics["picard_iters"])),
         "truncation": config.numerics["truncation"],
         "passed": True,

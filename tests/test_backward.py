@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfbsde import backward
 from qfbsde import (
     NOT_FOUND,
     PicardDivergenceError,
@@ -209,6 +210,23 @@ def test_lsmc_raises_on_divergent_picard(poly_basis):
     assert err.value.step == grid.n_steps - 1
 
 
+def test_lsmc_builds_one_step_regressor_per_step(monkeypatch, quad_problem,
+                                                 small_ensemble, poly_basis,
+                                                 small_config):
+    # one design and Gram factor per step serves every regression the solve
+    # makes there; the BMO audit is a separate pass the caller asks for
+    built = []
+
+    class Counting(backward._StepRegressor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backward, "_StepRegressor", Counting)
+    lsmc_solve(quad_problem, small_ensemble, poly_basis, 6, small_config)
+    assert len(built) == small_ensemble.grid.n_steps
+
+
 def test_solution_exposes_counts(small_solution):
     assert small_solution.n_paths == small_solution.y.shape[0]
     assert small_solution.y0 == pytest.approx(
@@ -256,6 +274,13 @@ def test_apriori_check_quadratic_problem(quad_problem, small_ensemble,
     assert report.y_ok
     assert report.y_bound == pytest.approx(1.0)  # tanh bound, zero driver part
     assert report.bmo_bound > report.bmo_observed
+
+
+def test_apriori_check_observes_estimate_bmo(quad_problem, small_ensemble,
+                                            small_solution):
+    report = apriori_check(small_solution, small_ensemble, quad_problem)
+    assert report.bmo_observed == estimate_bmo(small_solution, small_ensemble)
+    assert report.y_observed == np.abs(small_solution.y).max()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from qfbsde import (
     increasing_envelope,
     rho_truncate,
     rho_truncate_deriv,
-    rho_truncate_vec,
     transform_residual,
     transform_tables,
     upsilon1,
@@ -64,7 +63,7 @@ def test_truncation_blend_is_c1_at_the_seams():
 
 def test_truncation_vec_applies_componentwise():
     z = np.array([[0.5, -7.0], [3.0, 9.0]])
-    out = rho_truncate_vec(z, 2)
+    out = rho_truncate(z, 2)
     assert out.shape == z.shape
     assert out[0, 0] == 0.5
     assert out[0, 1] == -rho_truncate(np.array([7.0]), 2)[0]
@@ -261,5 +260,3 @@ def test_run_config_validation():
         RunConfig(n_paths=1)
     with pytest.raises(ValidationError):
         RunConfig(picard_tol=0.0)
-    with pytest.raises(ValidationError):
-        RunConfig(ridge=-1e-3)

@@ -196,6 +196,27 @@ def test_malliavin_diagonal_tracks_control(quad_setup, poly_basis):
     assert rel0 < 0.05
 
 
+def test_malliavin_anchors_share_one_induction(poly_basis):
+    # the reduced recursion does not depend on the anchor, so a field read
+    # off a joint solve equals the one solved for its anchor alone, bit for
+    # bit; a rough drift keeps the reconstruction factors non-trivial
+    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
+                         drift="sign", terminal="tanh", driver="colehopf",
+                         mollify_eps=0.1)
+    grid = TimeGrid.uniform(1.0, 16)
+    rc = RunConfig(seed=9, n_paths=1000)
+    ens = simulate(prob, grid, rc.n_paths, rc.seed)
+    flow = variational_flow(prob, ens)
+    base = lsmc_solve(prob, ens, poly_basis, 8, rc)
+    dy, dz = solve_malliavin_bsde(prob, ens, flow, base, (0, 5, 10),
+                                  poly_basis, rc)
+    for u in (0, 5, 10):
+        dy_u, dz_u = solve_malliavin_bsde(prob, ens, flow, base, (u,),
+                                          poly_basis, rc)
+        assert np.array_equal(dy[u], dy_u[u])
+        assert np.array_equal(dz[u], dz_u[u])
+
+
 def test_malliavin_anchor_validation(quad_setup, poly_basis):
     prob, grid, rc, ens, flow, base = quad_setup
     with pytest.raises(ValidationError):

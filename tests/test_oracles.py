@@ -132,6 +132,14 @@ def test_domination_oracle_zero_driver_is_martingale_case():
     assert abs(res.y0) < 1e-9
 
 
+def test_domination_oracle_rejects_unbounded_terminal():
+    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
+                         drift="zero", terminal="coordinate",
+                         driver="colehopf")
+    with pytest.raises(ValidationError, match="unbounded"):
+        domination_oracle(prob)
+
+
 def test_domination_oracle_requires_f(quad_problem):
     from dataclasses import replace
 
