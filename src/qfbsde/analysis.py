@@ -34,6 +34,7 @@ from .backward import (
     BackwardSolution,
     RegressionBasis,
     _StepRegressor,
+    _solve_cached,
     lsmc_solve,
     stabilization_level,
     NOT_FOUND,
@@ -180,8 +181,7 @@ def zhang_zbar(
         lo, hi = idx[k], idx[k + 1]
         w = deltas[lo:hi]
         target = np.einsum("mjd,j->md", z[:, lo:hi, :], w) / w.sum()
-        reg = _StepRegressor(basis, x[:, lo, :])
-        out[:, k, :] = reg.fitted_values(target)
+        out[:, k, :] = _StepRegressor(basis, x[:, lo, :]).project(target)
     return out
 
 
@@ -300,12 +300,6 @@ def truncation_error_curve(
     if levels[0] < 1:
         raise ValidationError("truncation levels must be positive")
     cache = _cache if _cache is not None else {}
-
-    def solve_at(level):
-        if level not in cache:
-            cache[level] = lsmc_solve(problem, ensemble, basis, level, config)
-        return cache[level]
-
     meta: dict = {"reference": reference, "n_paths": ensemble.n_paths,
                   "seed": ensemble.seed, "basis": basis.kind}
     if reference == "large_n":
@@ -319,7 +313,8 @@ def truncation_error_curve(
                     f"{levels[-1] + 1}; pass reference_level explicitly")
             reference_level = 2 * stab
             meta["stabilization_level"] = stab
-        ref = solve_at(int(reference_level))
+        ref = _solve_cached(cache, problem, ensemble, basis,
+                            int(reference_level), config)
         ref_y, ref_z = ref.y, ref.z
         meta["reference_level"] = int(reference_level)
     elif reference == "oracle":
@@ -337,7 +332,7 @@ def truncation_error_curve(
     m = ensemble.n_paths
     errors, stderrs, z_errors, z_stderrs = [], [], [], []
     for n in levels:
-        sol = solve_at(n)
+        sol = _solve_cached(cache, problem, ensemble, basis, n, config)
         sq = (sol.y - ref_y) ** 2
         node_means = sq.mean(axis=0)
         i_star = int(node_means.argmax())

@@ -3,13 +3,12 @@
 The scheme is the usual explicit-in-``Z``, implicit-in-``Y`` one-step
 backward induction on a path ensemble:
 
-* ``Z_{t_i}`` comes from regressing ``Y_{t_{i+1}} * dB_i / dt_i`` on the
-  time-``t_i`` state.  By default the conditionally-centered form
-  ``(Y_{t_{i+1}} - E[Y_{t_{i+1}}|X_{t_i}]) * dB_i / dt_i`` is used: the
-  centering term has conditional expectation exactly zero, so the estimator
-  targets the same quantity while removing the ``O(dt^{-1/2})`` noise that
-  otherwise buries small-mesh regularity statistics.  Set
-  ``RunConfig.center_z_regression=False`` for the plain product regression.
+* ``Z_{t_i}`` comes from regressing the conditionally-centered product
+  ``(Y_{t_{i+1}} - E[Y_{t_{i+1}}|X_{t_i}]) * dB_i / dt_i`` on the
+  time-``t_i`` state.  The centering term has conditional expectation
+  exactly zero, so the estimator targets the same quantity as the plain
+  product ``Y_{t_{i+1}} * dB_i / dt_i`` while removing the ``O(dt^{-1/2})``
+  noise that otherwise buries small-mesh regularity statistics.
 * ``Y_{t_i}`` solves the implicit fixed point
   ``y = E[Y_{t_{i+1}}|X_{t_i}] + dt * g_n(t_i, X_{t_i}, y, Z_{t_i})``
   by Picard iteration started at the conditional-expectation term.
@@ -40,7 +39,6 @@ from .forward import PathEnsemble
 
 __all__ = [
     "RegressionBasis",
-    "FittedRegression",
     "regress_conditional",
     "PicardDivergenceError",
     "BackwardSolution",
@@ -186,40 +184,26 @@ def _monomials(dim: int, degree: int):
     return out
 
 
-@dataclass(frozen=True)
-class FittedRegression:
-    """A fitted conditional-expectation map, reusable at new states."""
-
-    basis: RegressionBasis
-    coef: np.ndarray          # (p_kept, k)
-    col_scale: np.ndarray     # (p_kept,)
-    kept: np.ndarray          # (p_full,) bool
-    mean_only: bool
-    mean_value: np.ndarray    # (k,)
-    squeeze: bool
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(states, dtype=float))
-        if self.mean_only:
-            out = np.broadcast_to(self.mean_value, (x.shape[0], self.mean_value.size)).copy()
-        else:
-            a = self.basis.design(x)[:, self.kept] / self.col_scale
-            out = a @ self.coef
-        return out[:, 0] if self.squeeze else out
-
-
 class _StepRegressor:
-    """Shared per-step design/Gram factorization for several target sets."""
+    """The one per-step projector: a design and Gram factor on the states.
+
+    Every backward pass builds one per step and projects all of its targets
+    there in sample.  Designs with no more paths than basis functions are
+    rejected: they interpolate instead of regress.
+    """
 
     def __init__(self, basis: RegressionBasis, states: np.ndarray):
-        self.basis = basis
+        m, dim = states.shape
+        if m <= basis.n_features(dim):
+            raise ValidationError(
+                f"need more paths ({m}) than basis functions "
+                f"({basis.n_features(dim)})")
         a = basis.design(states)
         # collapse designs with no usable variation to a pure mean fit
         ptp = a.max(axis=0) - a.min(axis=0)
         nonconst = ptp > 0.0
         self.mean_only = not bool(nonconst.any())
         if self.mean_only:
-            self.kept = np.zeros(a.shape[1], dtype=bool)
             return
         kept = nonconst.copy()
         # keep a single intercept column in front of the varying ones
@@ -228,40 +212,17 @@ class _StepRegressor:
         live_const = const_cols[norms_all[const_cols] > 0.0]
         if live_const.size:
             kept[live_const[0]] = True
-        self.kept = kept
         a = a[:, kept]
-        self.col_scale = np.linalg.norm(a, axis=0)
-        self.col_scale[self.col_scale == 0.0] = 1.0
-        self.a = a / self.col_scale
+        col_scale = np.linalg.norm(a, axis=0)
+        col_scale[col_scale == 0.0] = 1.0
+        self.a = a / col_scale
         g = self.a.T @ self.a
         if basis.ridge > 0.0:
             g = g + basis.ridge * np.eye(g.shape[0])
         self.gram = g
 
-    def _coef(self, y2: np.ndarray) -> np.ndarray:
-        """Normal-equation coefficients for ``(M, k)`` targets."""
-        rhs = self.a.T @ y2
-        try:
-            return np.linalg.solve(self.gram, rhs)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
-
-    def fit(self, targets: np.ndarray) -> FittedRegression:
-        y = np.asarray(targets, dtype=float)
-        squeeze = y.ndim == 1
-        y2 = y[:, None] if squeeze else y
-        if self.mean_only:
-            mv = y2.mean(axis=0)
-            return FittedRegression(
-                basis=self.basis, coef=np.zeros((0, y2.shape[1])),
-                col_scale=np.ones(0), kept=self.kept, mean_only=True,
-                mean_value=mv, squeeze=squeeze)
-        return FittedRegression(
-            basis=self.basis, coef=self._coef(y2), col_scale=self.col_scale,
-            kept=self.kept, mean_only=False,
-            mean_value=np.zeros(y2.shape[1]), squeeze=squeeze)
-
-    def fitted_values(self, targets: np.ndarray) -> np.ndarray:
+    def project(self, targets: np.ndarray) -> np.ndarray:
+        """In-sample fitted values for ``(M,)`` or ``(M, k)`` targets."""
         y = np.asarray(targets, dtype=float)
         squeeze = y.ndim == 1
         y2 = y[:, None] if squeeze else y
@@ -277,34 +238,46 @@ class _StepRegressor:
         if self.mean_only:
             out = np.broadcast_to(y2.mean(axis=0), y2.shape).copy()
         else:
-            out = self.a @ self._coef(y2)
+            rhs = self.a.T @ y2
+            try:
+                coef = np.linalg.solve(self.gram, rhs)
+            except np.linalg.LinAlgError:
+                coef = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+            out = self.a @ coef
         if const.any():
             out[:, const] = lo[const]
         return out[:, 0] if squeeze else out
 
+    def ce_and_control(self, nxt: np.ndarray, db: np.ndarray, dt: float):
+        """``E[nxt|X_i]`` and the centered control for ``(M, k)`` targets.
+
+        The control is ``E[(nxt - E[nxt|X_i]) dB_i | X_i] / dt``, shape
+        ``(M, k, d)`` for ``(M, d)`` increments ``db``.
+        """
+        m, k = nxt.shape
+        ce = self.project(nxt)
+        prod = (nxt - ce)[:, :, None] * db[:, None, :]
+        control = self.project(prod.reshape(m, -1)) / dt
+        return ce, control.reshape(m, k, -1)
+
 
 def regress_conditional(
     targets: np.ndarray, states: np.ndarray, basis: RegressionBasis
-) -> tuple[np.ndarray, FittedRegression]:
-    """Least-squares projection of ``targets`` on ``basis`` at ``states``.
+) -> np.ndarray:
+    """In-sample least-squares projection of ``targets`` on ``basis``.
 
-    Returns the in-sample fitted values and the fitted map.  Fitted values
-    are invariant under affine rescaling of the states for the polynomial
-    basis (the span is), and collapse to the exact sample mean when the
-    states carry no variation at all — that is what ties the backward
-    induction at the (deterministic) initial state to a plain average.
+    Fitted values are invariant under affine rescaling of the states for
+    the polynomial basis (the span is), and collapse to the exact sample
+    mean when the states carry no variation at all — that is what ties the
+    backward induction at the (deterministic) initial state to a plain
+    average.  Raises :class:`ValidationError` unless there are more paths
+    than basis functions.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     y = np.asarray(targets, dtype=float)
     if y.shape[0] != states.shape[0]:
         raise ValidationError("targets and states disagree on the path count")
-    if states.shape[0] <= basis.n_features(states.shape[1]):
-        raise ValidationError(
-            f"need more paths ({states.shape[0]}) than basis functions "
-            f"({basis.n_features(states.shape[1])})")
-    reg = _StepRegressor(basis, states)
-    fit = reg.fit(y)
-    return fit(states) if reg.mean_only else reg.fitted_values(y), fit
+    return _StepRegressor(basis, states).project(y)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +346,10 @@ def lsmc_solve(
     realized_z_max = 0.0
 
     for i in range(n - 1, -1, -1):
-        reg = _StepRegressor(basis, x[:, i, :])
-        ce = reg.fitted_values(y[:, i + 1])
-        if config.center_z_regression:
-            targets = (y[:, i + 1] - ce)[:, None] * db[:, i, :]
-        else:
-            targets = y[:, i + 1][:, None] * db[:, i, :]
-        z[:, i, :] = reg.fitted_values(targets) / deltas[i]
+        ce, control = _StepRegressor(basis, x[:, i, :]).ce_and_control(
+            y[:, i + 1, None], db[:, i, :], deltas[i])
+        ce = ce[:, 0]
+        z[:, i, :] = control[:, 0, :]
         realized_z_max = max(realized_z_max, float(np.abs(z[:, i, :]).max()))
 
         yk = ce
@@ -460,8 +430,7 @@ def estimate_bmo(
     worst = 0.0
     for i in range(n - 1, -1, -1):
         tail = tail + np.sum(z[:, i, :] ** 2, axis=1) * deltas[i]
-        reg = _StepRegressor(basis, x[:, i, :])
-        fitted = reg.fitted_values(tail)
+        fitted = _StepRegressor(basis, x[:, i, :]).project(tail)
         worst = max(worst, float(fitted.max()))
     return math.sqrt(max(worst, 0.0))
 
@@ -543,18 +512,19 @@ def stabilization_level(
     if levels[0] < 1:
         raise ValidationError("truncation levels must be positive integers")
     cache = _cache if _cache is not None else {}
-
-    def solve_at(level):
-        if level not in cache:
-            cache[level] = lsmc_solve(problem, ensemble, basis, level, config)
-        return cache[level]
-
     for lo, hi in zip(levels[:-1], levels[1:]):
-        sol_lo = solve_at(lo)
+        sol_lo = _solve_cached(cache, problem, ensemble, basis, lo, config)
         if (sol_lo.diagnostics["realized_driver_y_max"] > lo
                 or sol_lo.diagnostics["realized_driver_z_max"] > lo):
             continue
-        sol_hi = solve_at(hi)
+        sol_hi = _solve_cached(cache, problem, ensemble, basis, hi, config)
         if np.array_equal(sol_lo.y, sol_hi.y) and np.array_equal(sol_lo.z, sol_hi.z):
             return lo
     return NOT_FOUND
+
+
+def _solve_cached(cache, problem, ensemble, basis, level, config):
+    """``lsmc_solve`` at ``level``, memoized in ``cache`` (level -> solution)."""
+    if level not in cache:
+        cache[level] = lsmc_solve(problem, ensemble, basis, level, config)
+    return cache[level]

@@ -17,37 +17,30 @@ from .registry import describe_registry
 from .runner import run
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load_config(path: str):
+    """The parsed config at ``path``, or ``None`` after reporting why not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        for diag in exc.diagnostics:
+            print(f"{path}:{diag}", file=sys.stderr)
+        return None
 
 
 def _cmd_run(args) -> int:
-    try:
-        text = _load(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.config}:{diag}", file=sys.stderr)
-        return 1
-    return run(config)
+    config = _load_config(args.config)
+    return 1 if config is None else run(config)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = _load(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.config}:{diag}", file=sys.stderr)
+    config = _load_config(args.config)
+    if config is None:
         return 1
     print(f"{args.config}: OK ({config.kind} experiment, "
           f"seed {config.numerics['seed']})")

@@ -74,7 +74,7 @@ class ConfigError(QfbsdeError):
 # ---------------------------------------------------------------------------
 #
 # (type, default, check, reason) per key; type is one of
-# int / float / str / bool / floats / ints / strs / scalar_or_floats.
+# int / float / str / floats / ints / strs / scalar_or_floats.
 # A check is a predicate on the coerced value.
 
 def _positive(v):
@@ -122,7 +122,6 @@ _NUMERICS_SCHEMA = {
     "mollify_quad_points": ("int", 64, lambda v: v >= 2, "must be >= 2"),
     "truncation": ("int", 0, _nonnegative,
                    "must be >= 0 (0 means untruncated)"),
-    "center_z": ("bool", True, None, None),
 }
 
 _EXPERIMENT_COMMON = {
@@ -261,8 +260,7 @@ class ExperimentConfig:
         n = self.numerics
         return RunConfig(seed=n["seed"], n_paths=n["paths"],
                          picard_tol=n["picard_tol"],
-                         picard_max=n["picard_max"],
-                         center_z_regression=n["center_z"])
+                         picard_max=n["picard_max"])
 
     def truncation(self):
         level = self.numerics["truncation"]
@@ -401,10 +399,6 @@ def _coerce(value, type_name, key, line_no, diags):
     if type_name == "str":
         if not isinstance(value, str):
             return fail(f"expected a quoted string, got {value!r}")
-        return value
-    if type_name == "bool":
-        if not isinstance(value, bool):
-            return fail(f"expected true or false, got {value!r}")
         return value
     if type_name == "scalar_or_floats":
         if isinstance(value, bool):

@@ -508,7 +508,6 @@ class RunConfig:
     n_paths: int = 1024
     picard_tol: float = 1e-10
     picard_max: int = 50
-    center_z_regression: bool = True
 
     def __post_init__(self):
         if self.n_paths < 2:

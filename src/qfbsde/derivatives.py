@@ -222,18 +222,11 @@ def _linear_backward(problem, ensemble, flow, base, basis, config,
 
     for i in range(n - 1, start_index - 1, -1):
         j = i - start_index
-        reg = _StepRegressor(basis, x[:, i, :])
         step_factor = malliavin_forward(flow, i, i + 1)
-        next_v = v[:, j + 1, :]
-        vhat = reg.fitted_values(next_v)
+        vhat, wfit = _StepRegressor(basis, x[:, i, :]).ce_and_control(
+            v[:, j + 1, :], db[:, i, :], deltas[i])
         ce = np.einsum("mj,mjk->mk", vhat, step_factor)
-        if config.center_z_regression:
-            prod = (next_v - vhat)[:, :, None] * db[:, i, None, :]
-        else:
-            prod = next_v[:, :, None] * db[:, i, None, :]
-        wfit = reg.fitted_values(prod.reshape(m, d * d)) / deltas[i]
-        w[:, j, :, :] = np.einsum(
-            "mjk,mjl->mkl", step_factor, wfit.reshape(m, d, d))
+        w[:, j, :, :] = np.einsum("mjk,mjl->mkl", step_factor, wfit)
 
         gx, gy, gz = _driver_gradients(
             gdriver, times[i], x[:, i, :], base.y[:, i], base.z[:, i, :])

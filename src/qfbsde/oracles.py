@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FBSDEProblem, TimeGrid, ValidationError
+from .core import FBSDEProblem, TimeGrid, ValidationError, _cumtrapz
 from .forward import PathEnsemble, euler_maruyama, sample_brownian
 
 __all__ = [
@@ -132,19 +132,13 @@ def domination_map(
         raise ValidationError("f must return finite values on the range")
     k = half.size - 1  # index of 0 in xs
     big_f = np.empty_like(xs)
-    big_f[k:] = _cumtrapz_from(fv[k:], xs[k:])
-    big_f[: k + 1] = -_cumtrapz_from(fv[k::-1], -xs[k::-1])[::-1]
+    big_f[k:] = _cumtrapz(fv[k:], xs[k:])
+    big_f[: k + 1] = -_cumtrapz(fv[k::-1], -xs[k::-1])[::-1]
     up = np.exp(2.0 * big_f)
     u = np.empty_like(xs)
-    u[k:] = _cumtrapz_from(up[k:], xs[k:])
-    u[: k + 1] = -_cumtrapz_from(up[k::-1], -xs[k::-1])[::-1]
+    u[k:] = _cumtrapz(up[k:], xs[k:])
+    u[: k + 1] = -_cumtrapz(up[k::-1], -xs[k::-1])[::-1]
     return DominationMap(xs=xs, u_values=u, u_prime=up)
-
-
-def _cumtrapz_from(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=out[1:])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 from .core import QfbsdeError, TimeGrid
 from .forward import simulate, variational_flow
 from .backward import (
+    NOT_FOUND,
     apriori_check,
     estimate_bmo,
     lsmc_solve,
@@ -254,8 +255,7 @@ def _kind_truncation(config):
         "z_errors": curve_report.metadata.get("z_errors"),
         "slope": curve_report.slope,
         "r2": curve_report.r2,
-        "stabilization_level": None if stab is None or not isinstance(stab, int)
-        else stab,
+        "stabilization_level": None if stab is NOT_FOUND else stab,
         "decay_ratio": decay,
         "decay_ratio_max": exp["decay_ratio"],
         "monotone_within_sigma": monotone,

@@ -60,7 +60,6 @@ def test_round_trip_is_exact_and_canonical():
     basis.knots = [-1.0, 0.0, 1.0]
     eps = 0.1
     truncation = 4
-    center_z = false
 
     [experiment]
     kind = "oracle"
@@ -275,7 +274,7 @@ def test_config_builders():
         '[problem]\nhorizon = 2.0\ndriver = "linear"\ndriver.a = -0.25\n'
         "[numerics]\ngrid_n = 8\npaths = 64\nseed = 9\n"
         'basis = "piecewise_linear"\nbasis.bins = 5\n'
-        "truncation = 3\ncenter_z = false\n")
+        "truncation = 3\n")
     prob = cfg.build_problem()
     assert prob.horizon == 2.0
     assert prob.driver.name == "linear"
@@ -287,7 +286,7 @@ def test_config_builders():
     basis = cfg.basis()
     assert basis.kind == "piecewise_linear" and basis.bins == 5
     rc = cfg.run_config()
-    assert rc == RunConfig(seed=9, n_paths=64, center_z_regression=False)
+    assert rc == RunConfig(seed=9, n_paths=64)
     assert cfg.truncation() == 3
     assert parse_config("").truncation() is UNTRUNCATED
     assert cfg.kind == "solve"

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qfbsde import derivatives
 from qfbsde import (
     DerivativeSolution,
     DriverSpec,
@@ -215,6 +216,29 @@ def test_malliavin_anchors_share_one_induction(poly_basis):
                                           poly_basis, rc)
         assert np.array_equal(dy[u], dy_u[u])
         assert np.array_equal(dz[u], dz_u[u])
+
+
+def test_linear_passes_build_one_step_regressor_per_step(monkeypatch,
+                                                        trivial_setup,
+                                                        poly_basis):
+    # one projector per induction step serves both the value and the
+    # control fit; the Malliavin pass runs one induction from its earliest
+    # anchor, so it builds only the steps from there on
+    prob, grid, rc, ens, flow, base = trivial_setup
+    built = []
+
+    class Counting(derivatives._StepRegressor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "_StepRegressor", Counting)
+    solve_gradient_bsde(prob, ens, flow, base, poly_basis, rc)
+    assert len(built) == grid.n_steps
+    built.clear()
+    anchors = (15, 4, 10)
+    solve_malliavin_bsde(prob, ens, flow, base, anchors, poly_basis, rc)
+    assert len(built) == grid.n_steps - min(anchors)
 
 
 def test_malliavin_anchor_validation(quad_setup, poly_basis):
