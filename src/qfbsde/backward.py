@@ -137,20 +137,38 @@ class RegressionBasis:
         return len(self.knots) if self.knots else self.bins
 
     def design(self, states: np.ndarray) -> np.ndarray:
-        """Design matrix of shape ``(M, n_features)``."""
+        """Design matrix of shape ``(M, n_features)``, feature-major.
+
+        The result is Fortran-ordered: each column is contiguous.  Polynomial
+        columns are the constant followed by the monomials in
+        :func:`_monomials` order; hat columns follow the node order, and each
+        row has at most two nonzeros (the hats of the cell holding the
+        clamped state).
+        """
         x = np.atleast_2d(np.asarray(states, dtype=float))
         m, d = x.shape
         if self.kind == "polynomial":
-            cols = [np.ones(m)]
-            for exps in _monomials(d, self.degree):
-                if sum(exps) == 0:
-                    continue
-                col = np.ones(m)
-                for j, e in enumerate(exps):
-                    if e:
-                        col = col * x[:, j] ** e
-                cols.append(col)
-            return np.stack(cols, axis=1)
+            a = np.empty((m, self.n_features(d)), order="F")
+            a[:, 0] = 1.0
+            # the pure-power columns are the power table: x_j^e is written
+            # as x_j^(e-1) * x_j, and a mixed monomial multiplies pure
+            # powers of lower total degree, so every factor is written first
+            power = {}  # (j, e) -> column holding x_j^e
+            for c, exps in enumerate(_monomials(d, self.degree), start=1):
+                col = a[:, c]
+                factors = [(j, e) for j, e in enumerate(exps) if e]
+                if len(factors) == 1:
+                    j, e = factors[0]
+                    power[j, e] = c
+                    if e == 1:
+                        col[:] = x[:, j]
+                        continue
+                    factors = [(j, e - 1), (j, 1)]
+                (j0, e0), (j1, e1), *rest = factors
+                np.multiply(a[:, power[j0, e0]], a[:, power[j1, e1]], out=col)
+                for j, e in rest:
+                    col *= a[:, power[j, e]]
+            return a
         if d != 1:
             raise ValidationError("piecewise_linear basis is one-dimensional only")
         if self.knots:
@@ -159,13 +177,18 @@ class RegressionBasis:
             lo, hi = self.support
             nodes = np.linspace(lo, hi, self.bins)
         xs = np.clip(x[:, 0], nodes[0], nodes[-1])
-        # hat functions on a possibly non-uniform node vector; the padded
-        # end spacings are never reached because states are clamped
-        left = np.diff(nodes, prepend=nodes[0] - 1.0)
-        right = np.diff(nodes, append=nodes[-1] + 1.0)
-        t = xs[:, None] - nodes[None, :]
-        a = np.where(t >= 0.0, t / right[None, :], -t / left[None, :])
-        return np.maximum(0.0, 1.0 - a)
+        # cell [nodes[k], nodes[k+1]] holding each clamped state; a state on
+        # an interior knot opens the cell to its right, the last knot closes
+        # the last cell
+        k = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
+                    0, nodes.size - 2)
+        h = np.diff(nodes)[k]
+        a = np.zeros((m, nodes.size), order="F")
+        flat = a.reshape(-1, order="F")  # a view: a[r, c] is flat[c*m + r]
+        at = k * m + np.arange(m)
+        flat[at] = 1.0 - (xs - nodes[k]) / h
+        flat[at + m] = 1.0 - (nodes[k + 1] - xs) / h
+        return a
 
 
 def _monomials(dim: int, degree: int):
@@ -190,6 +213,13 @@ class _StepRegressor:
     Every backward pass builds one per step and projects all of its targets
     there in sample.  Designs with no more paths than basis functions are
     rejected: they interpolate instead of regress.
+
+    The design is stored unscaled.  The unit-column scaling that the ridge
+    floor refers to lives on the Gram: ``gram`` is ``S AᵀA S + ridge·I``
+    with ``S = diag(scale)`` the inverse column norms, and ``project``
+    applies ``scale`` to the right-hand side and to the coefficients.
+    ``lstsq_fallbacks`` counts the solves that found ``gram`` singular and
+    fell back to least squares.
     """
 
     def __init__(self, basis: RegressionBasis, states: np.ndarray):
@@ -198,6 +228,7 @@ class _StepRegressor:
             raise ValidationError(
                 f"need more paths ({m}) than basis functions "
                 f"({basis.n_features(dim)})")
+        self.lstsq_fallbacks = 0
         a = basis.design(states)
         # collapse designs with no usable variation to a pure mean fit
         ptp = a.max(axis=0) - a.min(axis=0)
@@ -205,18 +236,20 @@ class _StepRegressor:
         self.mean_only = not bool(nonconst.any())
         if self.mean_only:
             return
+        g = a.T @ a
+        norms = np.sqrt(np.diag(g))
         kept = nonconst.copy()
         # keep a single intercept column in front of the varying ones
         const_cols = np.flatnonzero(~nonconst)
-        norms_all = np.linalg.norm(a, axis=0)
-        live_const = const_cols[norms_all[const_cols] > 0.0]
+        live_const = const_cols[norms[const_cols] > 0.0]
         if live_const.size:
             kept[live_const[0]] = True
-        a = a[:, kept]
-        col_scale = np.linalg.norm(a, axis=0)
-        col_scale[col_scale == 0.0] = 1.0
-        self.a = a / col_scale
-        g = self.a.T @ self.a
+        if not kept.all():
+            a, g, norms = a[:, kept], g[np.ix_(kept, kept)], norms[kept]
+        norms[norms == 0.0] = 1.0
+        self.a = a
+        self.scale = 1.0 / norms
+        g = g * np.outer(self.scale, self.scale)
         if basis.ridge > 0.0:
             g = g + basis.ridge * np.eye(g.shape[0])
         self.gram = g
@@ -238,12 +271,14 @@ class _StepRegressor:
         if self.mean_only:
             out = np.broadcast_to(y2.mean(axis=0), y2.shape).copy()
         else:
-            rhs = self.a.T @ y2
+            scale = self.scale[:, None]
+            rhs = scale * (self.a.T @ y2)
             try:
                 coef = np.linalg.solve(self.gram, rhs)
             except np.linalg.LinAlgError:
+                self.lstsq_fallbacks += 1
                 coef = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
-            out = self.a @ coef
+            out = self.a @ (scale * coef)
         if const.any():
             out[:, const] = lo[const]
         return out[:, 0] if squeeze else out
@@ -290,8 +325,9 @@ class BackwardSolution:
 
     ``y`` has shape ``(M, N+1)``; ``z`` has shape ``(M, N, d)`` (the control
     lives on steps, not nodes).  ``diagnostics`` records per-step Picard
-    behaviour, realized input magnitudes seen by the driver, and the
-    sup-node value bound.
+    behaviour, per-step counts of singular Grams solved by least squares
+    (``lstsq_fallbacks``), realized input magnitudes seen by the driver,
+    and the sup-node value bound.
     """
 
     grid: TimeGrid
@@ -342,12 +378,15 @@ def lsmc_solve(
 
     picard_iters = np.zeros(n, dtype=int)
     picard_residuals = np.zeros(n)
+    lstsq_fallbacks = np.zeros(n, dtype=int)
     realized_y_max = 0.0
     realized_z_max = 0.0
 
     for i in range(n - 1, -1, -1):
-        ce, control = _StepRegressor(basis, x[:, i, :]).ce_and_control(
-            y[:, i + 1, None], db[:, i, :], deltas[i])
+        reg = _StepRegressor(basis, x[:, i, :])
+        ce, control = reg.ce_and_control(y[:, i + 1, None], db[:, i, :],
+                                         deltas[i])
+        lstsq_fallbacks[i] = reg.lstsq_fallbacks
         ce = ce[:, 0]
         z[:, i, :] = control[:, 0, :]
         realized_z_max = max(realized_z_max, float(np.abs(z[:, i, :]).max()))
@@ -388,6 +427,7 @@ def lsmc_solve(
     diagnostics = {
         "picard_iters": picard_iters,
         "picard_residuals": picard_residuals,
+        "lstsq_fallbacks": lstsq_fallbacks,
         "sup_y_node": float(np.abs(y).max()),
         "realized_driver_y_max": realized_y_max,
         "realized_driver_z_max": realized_z_max,

@@ -54,6 +54,8 @@ from qfbsde import (
     zvonkin_transform_1d,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20260816
 
 # The piecewise-linear audit basis: hat-function fits are convex

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qfbsde import backward
 from qfbsde import (
     NOT_FOUND,
+    PathEnsemble,
     PicardDivergenceError,
     RegressionBasis,
     RunConfig,
@@ -89,6 +90,49 @@ def test_pwl_interpolates_at_knots():
     assert np.array_equal(design, np.eye(len(knots)))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_polynomial_design_is_the_monomials_in_order(dim, degree):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    states = 2.0 * rng.normal(size=(300, dim))
+    design = RegressionBasis(kind="polynomial", degree=degree).design(states)
+    exps = [(0,) * dim] + backward._monomials(dim, degree)
+    ref = np.stack([np.prod(states ** np.asarray(e), axis=1) for e in exps],
+                   axis=1)
+    assert design.shape == ref.shape
+    assert design.flags.f_contiguous
+    assert np.all(np.abs(design - ref) <= 1e-13 * np.abs(ref))
+
+
+def _hat_reference(nodes, x):
+    """The dense hat formula ``max(0, 1 - |x - n_j| / h_j)`` on clamped x."""
+    xs = np.clip(x, nodes[0], nodes[-1])
+    left = np.diff(nodes, prepend=nodes[0] - 1.0)
+    right = np.diff(nodes, append=nodes[-1] + 1.0)
+    t = xs[:, None] - nodes[None, :]
+    a = np.where(t >= 0.0, t / right[None, :], -t / left[None, :])
+    return np.maximum(0.0, 1.0 - a)
+
+
+@pytest.mark.parametrize("basis", [
+    RegressionBasis(kind="piecewise_linear", bins=16, support=(-4.5, 4.5)),
+    RegressionBasis(kind="piecewise_linear",
+                    knots=(-4.0, -1.0, -0.25, 0.0, 0.1, 0.7, 3.0)),
+])
+def test_pwl_design_matches_dense_hat_formula(basis):
+    nodes = (np.asarray(basis.knots) if basis.knots
+             else np.linspace(*basis.support, basis.bins))
+    rng = np.random.Generator(np.random.Philox(key=6))
+    inside = rng.uniform(nodes[0], nodes[-1], size=400)
+    outside = np.array([nodes[0] - 1e-9, nodes[0] - 7.0,
+                        nodes[-1] + 1e-9, nodes[-1] + 7.0])
+    x = np.concatenate([inside, outside, nodes])
+    design = basis.design(x[:, None])
+    assert design.flags.f_contiguous
+    assert np.all(np.abs(design - _hat_reference(nodes, x)) <= 1e-15)
+    assert np.count_nonzero(design, axis=1).max() <= 2
+
+
 def test_regression_preserves_sample_mean():
     rng = np.random.Generator(np.random.Philox(key=3))
     states = rng.normal(size=(500, 1))
@@ -105,6 +149,56 @@ def test_regression_collapses_to_mean_on_constant_states():
     fitted = regress_conditional(
         targets, states, RegressionBasis(kind="polynomial", degree=4))
     assert np.allclose(fitted, targets.mean(), atol=1e-12)
+
+
+def test_regressor_is_mean_only_beyond_hat_support():
+    # every state clamps to the last knot, so every hat column is constant
+    rng = np.random.Generator(np.random.Philox(key=7))
+    states = 5.0 + rng.uniform(size=(200, 1))
+    basis = RegressionBasis(kind="piecewise_linear", bins=8, support=(-4.0, 4.0))
+    reg = backward._StepRegressor(basis, states)
+    assert reg.mean_only
+    targets = rng.normal(size=200)
+    assert np.allclose(reg.project(targets), targets.mean(), rtol=0.0,
+                       atol=1e-15)
+
+
+def _coin_ensemble(n_paths, grid, seed):
+    """States in {-1, 1} at every node: x and x^3 are the same column.
+
+    Each node holds as many -1 as +1, so the scaled Gram is exactly
+    ``[[1, 0, 0], [0, 1, 1], [0, 1, 1]]`` and its LU meets an exact zero
+    pivot; an unbalanced node rounds the zero pivot away.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = grid.n_steps
+    signs = np.repeat([-1.0, 1.0], n_paths // 2)
+    paths = np.stack([rng.permutation(signs) for _ in range(n + 1)],
+                     axis=1)[:, :, None]
+    inc = rng.normal(size=(n_paths, n, 1)) * np.sqrt(grid.deltas)[None, :, None]
+    return PathEnsemble(grid=grid, increments=inc, paths=paths, seed=seed,
+                        x0=np.zeros(1))
+
+
+def test_singular_gram_falls_back_to_lstsq_and_is_counted(quad_problem,
+                                                           small_solution):
+    basis = RegressionBasis(kind="polynomial", degree=4, ridge=0.0)
+    grid = TimeGrid.uniform(1.0, 4)
+    ens = _coin_ensemble(400, grid, 8)
+    reg = backward._StepRegressor(basis, ens.paths[:, 0, :])
+    targets = np.sin(ens.increments[:, 0, 0])
+    fitted = reg.project(targets)
+    assert reg.lstsq_fallbacks == 1
+    assert abs(fitted.mean() - targets.mean()) < 1e-12
+    sol = lsmc_solve(quad_problem, ens, basis, 6, RunConfig(seed=8, n_paths=400))
+    fallbacks = sol.diagnostics["lstsq_fallbacks"]
+    assert fallbacks.shape == (grid.n_steps,)
+    # every step projects twice: the conditional expectation and the control
+    assert np.all(fallbacks == 2)
+    # an ordinary solve never meets a singular Gram
+    ordinary = small_solution.diagnostics["lstsq_fallbacks"]
+    assert ordinary.shape == (small_solution.z.shape[1],)
+    assert not ordinary.any()
 
 
 def test_regression_requires_enough_paths():
