@@ -29,6 +29,7 @@ from .core import (
     TimeGrid,
     UNTRUNCATED,
     ValidationError,
+    _nested_indices,
 )
 from .backward import (
     BackwardSolution,
@@ -130,27 +131,12 @@ def rate_fit(abscissae, errors) -> tuple[float, float, float]:
 # Zhang statistics
 # ---------------------------------------------------------------------------
 
-def _partition_indices(fine: TimeGrid, partition: TimeGrid) -> np.ndarray:
-    """Fine-grid indices of the coarse nodes; errors when not nested."""
-    idx = np.searchsorted(fine.times, partition.times)
-    idx = np.clip(idx, 0, fine.times.size - 1)
-    # searchsorted can land one slot right of a float-equal node
-    left_ok = np.abs(fine.times[np.maximum(idx - 1, 0)]
-                     - partition.times) <= 1e-12
-    idx = np.where(left_ok & (idx > 0), idx - 1, idx)
-    if np.any(np.abs(fine.times[idx] - partition.times) > 1e-12):
-        raise ValidationError(
-            "partition is not nested in the solution's grid")
-    return idx
-
-
 def zhang_zbar(
     base: BackwardSolution,
     partition: TimeGrid,
     basis: RegressionBasis | None = None,
     *,
     ensemble: PathEnsemble | None = None,
-    states: np.ndarray | None = None,
 ) -> np.ndarray:
     """Best block-constant approximation of the control, per coarse interval.
 
@@ -160,19 +146,16 @@ def zhang_zbar(
     least squares (no ridge): what is asserted downstream is its in-sample
     optimality over the span, and a penalty would trade exactly that away.
 
-    ``states``/``ensemble`` supply the regression states (``ensemble`` wins);
-    one of them is required.  Returns an ``(M, N_coarse, d)`` field.
+    ``ensemble`` supplies the regression states and is required.  Returns
+    an ``(M, N_coarse, d)`` field.
     """
     if basis is None:
         basis = base.basis
     basis = replace(basis, ridge=0.0)
-    if ensemble is not None:
-        x = ensemble.paths
-    elif states is not None:
-        x = states
-    else:
-        raise ValidationError("zhang_zbar needs an ensemble or a state array")
-    idx = _partition_indices(base.grid, partition)
+    if ensemble is None:
+        raise ValidationError("zhang_zbar needs the solution's ensemble")
+    x = ensemble.paths
+    idx = _nested_indices(base.grid, partition)
     z = base.z
     deltas = base.grid.deltas
     m, _, d = z.shape
@@ -206,7 +189,7 @@ def path_regularity_stat(
         raise ValidationError("p must be at least 2")
     if mode not in ("left_endpoint", "zbar"):
         raise ValidationError(f"unknown mode {mode!r}")
-    idx = _partition_indices(base.grid, partition)
+    idx = _nested_indices(base.grid, partition)
     z = base.z
     deltas = base.grid.deltas
     m = z.shape[0]

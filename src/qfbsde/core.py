@@ -85,8 +85,11 @@ def rho_truncate(x, n: int):
         ``n + s - s**2/4``,   ``s = |x| - n  in (0, 2)``,
 
     which matches value and first derivative at both ends (C^1 overall).
-    Consequently ``|rho(x)| <= min(|x|, n+1)`` and the derivative lives in
-    ``[0, 1]``.  The map is odd by construction.
+    With ``s`` clamped to ``[0, 2]`` all three regimes are the one expression
+    ``sign(x) * (min(|x|, n) + s - s**2/4)``, so ``+/-inf`` map to
+    ``+/-(n+1)`` and NaN stays NaN.  Consequently
+    ``|rho(x)| <= min(|x|, n+1)`` and the derivative lives in ``[0, 1]``.
+    The map is odd by construction.
 
     Parameters
     ----------
@@ -102,10 +105,8 @@ def rho_truncate(x, n: int):
     n = _check_level(n)
     arr = np.asarray(x, dtype=float)
     a = np.abs(arr)
-    s = a - n
-    blend = n + s - 0.25 * s * s
-    mag = np.where(a <= n, a, np.where(a >= n + 2.0, n + 1.0, blend))
-    out = np.sign(arr) * mag
+    s = np.clip(a - n, 0.0, 2.0)
+    out = np.sign(arr) * (np.minimum(a, n) + s - 0.25 * s * s)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -115,14 +116,13 @@ def rho_truncate_deriv(x, n: int):
     """Analytic derivative of :func:`rho_truncate` (chain-rule helper).
 
     Equals 1 on ``(-n, n)``, 0 outside ``[-(n+2), n+2]``, and
-    ``1 - s/2`` with ``s = |x| - n`` on the blend.  Values lie in [0, 1].
+    ``1 - s/2`` with ``s = |x| - n`` on the blend; with ``s`` clamped to
+    ``[0, 2]`` that one expression covers all three.  Values lie in [0, 1].
     """
     n = _check_level(n)
-    arr = np.asarray(x, dtype=float)
-    a = np.abs(arr)
-    s = a - n
-    out = np.where(a <= n, 1.0, np.where(a >= n + 2.0, 0.0, 1.0 - 0.5 * s))
-    if np.isscalar(x) or arr.ndim == 0:
+    s = np.clip(np.abs(np.asarray(x, dtype=float)) - n, 0.0, 2.0)
+    out = 1.0 - 0.5 * s
+    if np.isscalar(x) or s.ndim == 0:
         return float(out)
     return out
 
@@ -347,15 +347,28 @@ class TimeGrid:
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
 
-    def refines(self, coarse: "TimeGrid", *, tol: float = 1e-12) -> bool:
-        """True when every node of ``coarse`` is (numerically) a node here."""
-        idx = np.searchsorted(self.times, coarse.times)
-        idx = np.clip(idx, 0, self.times.size - 1)
-        near = np.minimum(
-            np.abs(self.times[idx] - coarse.times),
-            np.abs(self.times[np.maximum(idx - 1, 0)] - coarse.times),
-        )
-        return bool(np.all(near <= tol))
+    def refines(self, coarse: "TimeGrid") -> bool:
+        """True when every node of ``coarse`` is a node here, to within 1e-12."""
+        try:
+            _nested_indices(self, coarse)
+        except ValidationError:
+            return False
+        return True
+
+
+def _nested_indices(fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
+    """Indices in ``fine`` of the nodes of ``coarse``; errors when not nested.
+
+    A coarse node matches a fine node within 1e-12, so partitions built by
+    ``linspace`` on a different step count still nest.
+    """
+    t = fine.times
+    idx = np.clip(np.searchsorted(t, coarse.times), 1, t.size - 1)
+    # searchsorted lands one slot right of a float-equal node that is smaller
+    idx -= np.abs(t[idx - 1] - coarse.times) <= 1e-12
+    if np.any(np.abs(t[idx] - coarse.times) > 1e-12):
+        raise ValidationError("partition is not nested in the finer grid")
+    return idx
 
 
 @dataclass(frozen=True)

@@ -124,53 +124,39 @@ class FdGradient:
 # Frozen driver gradients
 # ---------------------------------------------------------------------------
 
-def _driver_gradients(driver, t, x, y, z, *, step=_FD_COEFF_STEP):
+def _driver_gradients(driver, t, x, y, z):
     """``(g_x, g_y, g_z)`` at frozen arguments, analytic or by differences."""
-    m, d = x.shape
     if driver.grad_x is not None:
         gx = np.asarray(driver.grad_x(t, x, y, z), dtype=float)
     else:
-        gx = np.empty((m, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            gx[:, k] = (
-                np.asarray(driver.g(t, x + e, y, z), dtype=float)
-                - np.asarray(driver.g(t, x - e, y, z), dtype=float)
-            ) / (2.0 * step)
+        gx = _central_difference(lambda xe: driver.g(t, xe, y, z), x)
     if driver.grad_y is not None:
         gy = np.asarray(driver.grad_y(t, x, y, z), dtype=float)
     else:
-        gy = (
-            np.asarray(driver.g(t, x, y + step, z), dtype=float)
-            - np.asarray(driver.g(t, x, y - step, z), dtype=float)
-        ) / (2.0 * step)
+        gy = _central_difference(
+            lambda ye: driver.g(t, x, ye[:, 0], z), y[:, None])[:, 0]
     if driver.grad_z is not None:
         gz = np.asarray(driver.grad_z(t, x, y, z), dtype=float)
     else:
-        gz = np.empty((m, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            gz[:, k] = (
-                np.asarray(driver.g(t, x, y, z + e), dtype=float)
-                - np.asarray(driver.g(t, x, y, z - e), dtype=float)
-            ) / (2.0 * step)
+        gz = _central_difference(lambda ze: driver.g(t, x, y, ze), z)
     return gx, gy, gz
 
 
-def _terminal_gradient(problem, x_term, *, step=_FD_COEFF_STEP):
+def _terminal_gradient(problem, x_term):
     if problem.terminal_gradient is not None:
         return np.asarray(problem.terminal_gradient(x_term), dtype=float)
-    m, d = x_term.shape
+    return _central_difference(problem.terminal, x_term)
+
+
+def _central_difference(fn, at):
+    """Central differences of ``fn`` (``(M, d) -> (M,)``) in each column of ``at``."""
+    m, d = at.shape
     out = np.empty((m, d))
     for k in range(d):
         e = np.zeros(d)
-        e[k] = step
-        out[:, k] = (
-            np.asarray(problem.terminal(x_term + e), dtype=float)
-            - np.asarray(problem.terminal(x_term - e), dtype=float)
-        ) / (2.0 * step)
+        e[k] = _FD_COEFF_STEP
+        out[:, k] = (np.asarray(fn(at + e), dtype=float)
+                     - np.asarray(fn(at - e), dtype=float)) / (2.0 * _FD_COEFF_STEP)
     return out
 
 

@@ -219,6 +219,17 @@ def mollify_drift(drift: Callable, eps: float, *, dim: int = 1,
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValidationError(f"eps must be positive, got {eps}")
+    nodes, weights = _gauss_hermite_rule(quad_points, dim)
+    return MollifiedDrift(raw=drift, eps=float(eps), nodes=nodes, weights=weights)
+
+
+def _gauss_hermite_rule(quad_points: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss–Hermite rule for ``E[g(G)]``, ``G ~ N(0, I_dim)``.
+
+    Returns nodes ``(quad_points**dim, dim)`` and weights normalized to sum
+    to one, so constants integrate without quadrature error.  The grid is
+    capped at 300 000 nodes.
+    """
     if quad_points < 2:
         raise ValidationError("quad_points must be >= 2")
     if dim < 1:
@@ -234,8 +245,7 @@ def mollify_drift(drift: Callable, eps: float, *, dim: int = 1,
     weights = np.ones(nodes.shape[0])
     for wg in wgrids:
         weights = weights * wg.ravel()
-    weights = weights / weights.sum()
-    return MollifiedDrift(raw=drift, eps=float(eps), nodes=nodes, weights=weights)
+    return nodes, weights / weights.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +350,20 @@ class ZvonkinTransform:
     def psi_x(self, t_index: int, x) -> np.ndarray:
         return 1.0 + np.interp(x, self.xs, self.u_x[t_index])
 
-    def psi_inverse(self, t_index: int, y, *, tol: float = 1e-12) -> np.ndarray:
-        """Invert ``Psi(t, .)`` by bisection (valid while ``1 + u_x > 0``)."""
-        y = np.asarray(y, dtype=float)
-        lo = np.full(y.shape, self.xs[0])
-        hi = np.full(y.shape, self.xs[-1])
-        span = float(self.xs[-1] - self.xs[0])
-        n_iter = max(1, int(math.ceil(math.log2(span / tol))))
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            too_low = self.psi(t_index, mid) < y
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        return 0.5 * (lo + hi)
+    def psi_inverse(self, t_index: int, y) -> np.ndarray:
+        """Exact inverse of the piecewise-linear ``Psi(t, .)``.
+
+        ``Psi`` interpolates the knot values ``xs + u[t]`` linearly, so its
+        inverse interpolates ``xs`` against them; targets beyond the end
+        knots clamp to the box.  Raises :class:`ValidationError` when the
+        knot values are not strictly increasing (``Psi`` is then not
+        invertible).
+        """
+        knots = self.xs + self.u[t_index]
+        if np.any(np.diff(knots) <= 0.0):
+            raise ValidationError(
+                f"Psi(t_{t_index}, .) is not strictly increasing on the grid")
+        return np.interp(np.asarray(y, dtype=float), knots, self.xs)
 
     def drift_tilde(self, t_index: int, y) -> np.ndarray:
         x = self.psi_inverse(t_index, y)
@@ -482,8 +493,10 @@ def continuity_diagnostic(
 
     Each pair ``(s, t, x, y)`` is simulated with *shared* noise (the same
     increment array drives the start at ``x`` and the start at ``y``), and
-    the probe times are snapped to the simulation grid.  Degenerate pairs
-    with ``s == t`` and ``x == y`` are rejected — their denominator vanishes.
+    the probe times are snapped to the simulation grid.  A pair keeps only
+    its two snapped nodes, so a call holds at most one path array at a time.
+    Degenerate pairs with ``s == t`` and ``x == y`` are rejected — their
+    denominator vanishes.
     """
     pairs = list(pairs)
     if not pairs:
@@ -503,26 +516,18 @@ def continuity_diagnostic(
     inc = sample_brownian(grid, n_paths, d, seed)
     ratios = np.empty(len(pairs))
     errs = np.empty(len(pairs))
-    cache: dict = {}
-
-    def paths_from(x0_key):
-        if x0_key not in cache:
-            start = np.asarray(x0_key, dtype=float)
-            cache[x0_key] = euler_maruyama(problem, grid, inc, x0=start).paths
-        return cache[x0_key]
-
     for idx, (s, t, x, y) in enumerate(pairs):
-        xv = tuple(np.asarray(x, dtype=float).reshape(-1))
-        yv = tuple(np.asarray(y, dtype=float).reshape(-1))
+        xv = np.asarray(x, dtype=float).reshape(-1)
+        yv = np.asarray(y, dtype=float).reshape(-1)
         i_t = int(round(t / problem.horizon * n_steps))
         i_s = int(round(s / problem.horizon * n_steps))
-        xt = paths_from(xv)[:, i_t, :]
-        ys = paths_from(yv)[:, i_s, :]
+        # copy the snapped node so that the full path array is freed at once
+        xt = euler_maruyama(problem, grid, inc, x0=xv).paths[:, i_t, :].copy()
+        ys = euler_maruyama(problem, grid, inc, x0=yv).paths[:, i_s, :].copy()
         sq = np.sum((xt - ys) ** 2, axis=1)
         t_eff = grid.times[i_t]
         s_eff = grid.times[i_s]
-        denom = abs(t_eff - s_eff) + float(
-            np.sum((np.asarray(xv) - np.asarray(yv)) ** 2))
+        denom = abs(t_eff - s_eff) + float(np.sum((xv - yv) ** 2))
         ratios[idx] = sq.mean() / denom
         errs[idx] = sq.std(ddof=1) / math.sqrt(n_paths) / denom
     return ContinuityReport(pairs=pairs, ratios=ratios, std_errors=errs,

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FBSDEProblem, TimeGrid, ValidationError, _cumtrapz
-from .forward import PathEnsemble, euler_maruyama, sample_brownian
+from .forward import (PathEnsemble, _gauss_hermite_rule, euler_maruyama,
+                      sample_brownian)
 
 __all__ = [
     "DominationMap",
@@ -38,22 +39,17 @@ __all__ = [
     "nested_mc_ce",
 ]
 
-_BISECT_TOL = 1e-12
-
 
 def gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for expectations against a standard normal.
 
-    The physicists' Gauss–Hermite rule is rescaled so that
-    ``sum(w * g(nodes))`` approximates ``E[g(G)]`` with ``G ~ N(0, 1)``;
-    weights are normalized to sum to one exactly, which keeps constants
-    integrated without quadrature error.
+    The 1-d view of the tensor rule that :func:`~qfbsde.forward.mollify_drift`
+    and the zero-drift oracle use: ``sum(w * g(nodes))`` approximates
+    ``E[g(G)]`` with ``G ~ N(0, 1)``, and the weights are normalized to sum
+    to one, which keeps constants integrated without quadrature error.
     """
-    if points < 2:
-        raise ValidationError("quadrature needs at least 2 points")
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
-    weights = weights / weights.sum()
-    return nodes * math.sqrt(2.0), weights
+    nodes, weights = _gauss_hermite_rule(points, 1)
+    return nodes[:, 0], weights
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +62,8 @@ class DominationMap:
 
     ``u`` is strictly increasing with ``u(0) = 0`` (the integrand is a
     positive exponential), so it is invertible on the table range; the
-    inverse is evaluated by bisection on the piecewise-linear interpolant.
+    inverse of the piecewise-linear interpolant is the interpolant with the
+    axes swapped, which :meth:`inverse` evaluates exactly.
     """
 
     xs: np.ndarray        # strictly increasing grid containing 0
@@ -92,22 +89,12 @@ class DominationMap:
                 f"u() evaluated outside the table range [{lo}, {hi}]")
         return np.interp(x, self.xs, self.u_values)
 
-    def inverse(self, values, *, tol: float = _BISECT_TOL) -> np.ndarray:
-        """``u^{-1}`` by bisection on the monotone interpolant."""
+    def inverse(self, values) -> np.ndarray:
+        """``u^{-1}``: the exact inverse of the monotone interpolant."""
         v = np.asarray(values, dtype=float)
         if np.any(v < self.u_values[0]) or np.any(v > self.u_values[-1]):
             raise ValidationError("inverse() target outside the table range")
-        lo = np.full(v.shape, self.xs[0])
-        hi = np.full(v.shape, self.xs[-1])
-        # bisection halves the bracket; run until its width is below tol
-        width = float(self.xs[-1] - self.xs[0])
-        n_iter = max(1, int(math.ceil(math.log2(max(width, tol) / tol))) + 1)
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            below = np.interp(mid, self.xs, self.u_values) < v
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return np.interp(v, self.u_values, self.xs)
 
 
 def domination_map(
@@ -181,7 +168,10 @@ def domination_oracle(
 
     When ``ensemble`` and ``time_indices`` are given, the conditional
     expectations at those nodes are evaluated per outer path and returned as
-    ``y_field``.
+    ``y_field``.  With zero drift both the value and the field use the tensor
+    Gauss–Hermite rule of :func:`~qfbsde.forward.mollify_drift` (at most
+    300 000 nodes), so the field costs ``quad_points**d`` terminal
+    evaluations per node.
     """
     if not math.isfinite(problem.terminal_bound):
         raise ValidationError(
@@ -234,20 +224,10 @@ def _is_zero_drift(problem: FBSDEProblem, x0: np.ndarray, t: float) -> bool:
 
 
 def _gh_expectation(mapping, phi, x0, t_total, d, quad_points):
-    if d > 3:
-        raise ValidationError(
-            "tensor quadrature is limited to d <= 3; use the MC route")
-    nodes, weights = gauss_hermite(quad_points)
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = weights
-    for _ in range(d - 1):
-        w = np.multiply.outer(w, weights)
-    w = w.ravel()
-    states = x0[None, :] + math.sqrt(t_total) * pts
+    nodes, weights = _gauss_hermite_rule(quad_points, d)
+    states = x0[None, :] + math.sqrt(t_total) * nodes
     vals = mapping.u(np.asarray(phi(states), dtype=float))
-    mean = float(np.sum(w * vals))
-    return mean, 0.0
+    return float(np.sum(weights * vals)), 0.0
 
 
 def _mc_expectation(mapping, phi, problem, n_paths, n_steps, seed):
@@ -269,7 +249,7 @@ def _oracle_field(mapping, phi, problem, ensemble, idx_out, drift_free,
         if tau <= 0.0:
             u_cond = mapping.u(np.asarray(phi(states), dtype=float))
         elif drift_free:
-            nodes, weights = gauss_hermite(quad_points)
+            nodes, weights = _gauss_hermite_rule(quad_points, states.shape[1])
             u_cond = np.zeros(states.shape[0])
             for g_node, w in zip(nodes, weights):
                 shifted = states + math.sqrt(tau) * g_node

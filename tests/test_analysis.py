@@ -115,7 +115,7 @@ def test_zhang_zbar_field_shape(fine_solution):
     zb = zhang_zbar(sol, part, ensemble=ens)
     assert zb.shape == (ens.n_paths, 8, 1)
     with pytest.raises(ValidationError):
-        zhang_zbar(sol, part)  # neither ensemble nor states
+        zhang_zbar(sol, part)  # no ensemble
 
 
 def test_regularity_stat_validation(fine_solution):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_truncation_properties_hypothesis(x, n):
     assert abs(r) <= abs(x) + 1e-9
     if abs(x) <= n:
         assert r == x
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_truncation_maps_non_finite_points_without_warnings(n):
+    x = np.array([np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = rho_truncate(x, n)
+        d = rho_truncate_deriv(x, n)
+    assert r[0] == n + 1 and r[1] == -(n + 1) and np.isnan(r[2])
+    assert d[0] == 0.0 and d[1] == 0.0 and np.isnan(d[2])
 
 
 def test_truncation_rejects_bad_levels():

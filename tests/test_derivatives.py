@@ -175,6 +175,25 @@ def test_driver_gradient_fd_fallback_agrees(quad_setup, poly_basis):
     assert np.abs(nz_a - nz_f).max() < 1e-6
 
 
+def test_central_difference_fallbacks_match_analytic_gradients():
+    prob = build_problem(dim=2, drift="zero", terminal="tanh",
+                         driver="colehopf")
+    drv = prob.driver
+    rng = np.random.default_rng(4)
+    x, z = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+    y = rng.standard_normal(50)
+    bare = replace(drv, grad_x=None, grad_y=None, grad_z=None)
+    for fd, exact in zip(derivatives._driver_gradients(bare, 0.5, x, y, z),
+                         derivatives._driver_gradients(drv, 0.5, x, y, z)):
+        assert fd.shape == exact.shape
+        assert np.abs(fd - exact).max() < 1e-6
+    fd = derivatives._terminal_gradient(
+        replace(prob, terminal_gradient=None), x)
+    sech2 = np.zeros_like(x)
+    sech2[:, 0] = 1.0 / np.cosh(x[:, 0]) ** 2
+    assert np.abs(fd - sech2).max() < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Malliavin structure on the quadratic problem
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Forward-leg tests: sampling, integration, mollification, flow, Zvonkin."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,19 @@ def test_zvonkin_psi_inverse_roundtrip():
     # transformed coefficients stay bounded on the box
     assert np.all(np.isfinite(zt.drift_tilde(0, zt.psi(0, probe))))
     assert np.all(zt.sigma_tilde(0, zt.psi(0, probe)) > 0)
+
+
+def test_zvonkin_psi_inverse_is_exact_and_needs_monotone_knots():
+    drift, _, _ = make_drift("holder_sqrt")
+    xs = np.linspace(-2.0, 2.0, 129)
+    zt = zvonkin_transform_1d(drift, 10.0, xs, np.linspace(0.0, 1.0, 17))
+    for t in (0, 8, 16):
+        assert np.array_equal(zt.psi_inverse(t, zt.xs + zt.u[t]), zt.xs)
+    folded = zt.u.copy()
+    folded[0, 64] = folded[0, 65] + 1.0  # one grid step is 1/32
+    bad = replace(zt, u=folded)
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        bad.psi_inverse(0, np.zeros(3))
 
 
 def test_zvonkin_rejects_bad_grids():

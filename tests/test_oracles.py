@@ -1,6 +1,7 @@
 """Oracle tests: quadrature, the monotone transform, and the three routes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ def test_domination_map_monotone_and_invertible():
     assert np.abs(roundtrip - probe).max() < 1e-9
 
 
+def test_domination_map_inverse_is_exact_at_the_knots():
+    mapping = domination_map(lambda y: np.abs(y), 2.0)
+    assert np.array_equal(mapping.inverse(mapping.u_values), mapping.xs)
+
+
 def test_domination_map_range_guards():
     mapping = domination_map(lambda y: np.zeros_like(y), 1.0)
     with pytest.raises(ValidationError):
@@ -108,6 +114,18 @@ def test_domination_oracle_field(quad_problem, small_grid):
     # at the terminal node the conditioning is trivial: u^{-1}(u(phi)) = phi
     terminal = np.tanh(ens.paths[:, -1, 0])
     assert np.abs(res.y_field[:, -1] - terminal).max() < 1e-9
+
+
+def test_domination_oracle_field_uses_the_tensor_rule_in_2d():
+    # a terminal that reads both coordinates: at node 0 every path sits at
+    # x0, so the per-path field is the value itself
+    base = build_problem(dim=2, x0=0.3, drift="zero", terminal="tanh",
+                         driver="colehopf")
+    prob = replace(base, terminal=lambda x: np.tanh(x[:, 0] + x[:, 1]))
+    ens = simulate(prob, TimeGrid.uniform(1.0, 4), 50, seed=2)
+    res = domination_oracle(prob, quad_points=32, ensemble=ens,
+                            time_indices=(0,))
+    assert np.abs(res.y_field[:, 0] - res.y0).max() < 1e-12
 
 
 def test_domination_oracle_mc_route_matches_gaussian_shift():
