@@ -259,9 +259,13 @@ def solve_gradient_bsde(
     v, w = _linear_backward(
         problem, ensemble, flow, base, basis, config,
         terminal_value=_terminal_gradient(problem, x_term), start_index=0)
-    nabla_y = np.einsum("mik,mikl->mil", v, flow.nabla_x)
-    nabla_z = np.einsum("mikl,mika->mial", w, flow.nabla_x[:, :-1])
-    return nabla_y, nabla_z
+    return _reconstruct(v, w, flow.nabla_x)
+
+
+def _reconstruct(v, w, nabla_x):
+    """Full tangent fields ``(v nablaX, nablaX^T w)`` on the nodes ``v`` covers."""
+    return (np.einsum("mik,mikl->mil", v, nabla_x),
+            np.einsum("mikl,mika->mial", w, nabla_x[:, :-1]))
 
 
 def solve_malliavin_bsde(
@@ -278,11 +282,13 @@ def solve_malliavin_bsde(
     The forward Malliavin derivative is ``D_u X_t = nablaX_t (nablaX_u)^{-1}``
     for ``t >= u`` (diffusion coefficient is the identity).  In reduced
     coordinates the anchor drops out of the backward equation entirely, so
-    one induction from the earliest anchor serves them all: each anchor
-    reads its span off that run and re-enters only through the
-    reconstruction factors ``D_u X``.  Fields are stored from the anchor
-    onward; the value before the anchor is identically zero and never
-    materialized.
+    one induction from the earliest anchor ``u0`` serves them all.  From it
+    the gradient fields on ``[u0, N]`` are reconstructed as in
+    :func:`solve_gradient_bsde`, and each anchor's fields are those times
+    one inverse flow: ``D_u Y_t = nablaY_t (nablaX_u)^{-1}`` and
+    ``D_u Z_t = (nablaX_u)^{-T} nablaZ_t`` (the representation of El Karoui,
+    Peng & Quenez, 1997).  Fields are stored from the anchor onward; the
+    value before the anchor is identically zero and never materialized.
     """
     n = ensemble.grid.n_steps
     anchors = tuple(sorted(set(int(u) for u in anchors)))
@@ -292,23 +298,18 @@ def solve_malliavin_bsde(
         raise ValidationError(f"anchors must lie in [0, {n - 1}]")
     x_term = ensemble.paths[:, -1, :]
     u0 = anchors[0]
-    v, w = _linear_backward(
+    # the reduced fields stay unbound, so they are freed once the full ones
+    # exist and the anchored fields below never coexist with them
+    nabla_y, nabla_z = _reconstruct(*_linear_backward(
         problem, ensemble, flow, base, basis, config,
-        terminal_value=_terminal_gradient(problem, x_term), start_index=u0)
+        terminal_value=_terminal_gradient(problem, x_term), start_index=u0),
+        flow.nabla_x[:, u0:])
     dy: dict[int, np.ndarray] = {}
     dz: dict[int, np.ndarray] = {}
     for u in anchors:
-        span = n - u
-        du_y = np.empty((v.shape[0], span + 1, v.shape[2]))
-        du_z = np.empty((w.shape[0], span, w.shape[2], w.shape[3]))
-        for i in range(u, n + 1):
-            dux = malliavin_forward(flow, u, i)
-            du_y[:, i - u, :] = np.einsum("mk,mkl->ml", v[:, i - u0, :], dux)
-            if i < n:
-                du_z[:, i - u] = np.einsum(
-                    "mkl,mka->mal", w[:, i - u0, :, :], dux)
-        dy[u] = du_y
-        dz[u] = du_z
+        inv_u = flow.nabla_x_inv[:, u]
+        dy[u] = np.einsum("mik,mkl->mil", nabla_y[:, u - u0:], inv_u)
+        dz[u] = np.einsum("mikl,mka->mial", nabla_z[:, u - u0:], inv_u)
     return dy, dz
 
 
@@ -380,11 +381,10 @@ def representation_check(
     The identities are not equally independent.  ``control_gradient`` is
     the only one that compares two independent estimators: ``Z`` comes from
     the base LSMC solve, ``nablaY`` from the linear gradient induction.  The
-    Malliavin fields are slices of the same reduced induction as the
-    gradient, reconstructed against ``D_u X`` instead of ``nablaX``, so
+    Malliavin fields are the gradient fields times ``(nablaX_u)^{-1}``, so
     ``malliavin_value`` and ``malliavin_control`` only measure the round-off
-    of that reconstruction (``nablaX_t (nablaX_u)^{-1} nablaX_u`` against
-    ``nablaX_t``), not a second estimate.
+    of ``(nablaX_u)^{-1} nablaX_u`` against the identity, not a second
+    estimate.
     """
     n = base.z.shape[1]
     out: dict[str, dict] = {}

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_NODE_AVERAGE_POINTS = 1 << 20  # shifted points per block of _node_average
 _SCHEME = f"philox4x64-block{_BLOCK}"
 _MASK64 = (1 << 64) - 1
 
@@ -173,7 +174,8 @@ def validate_ensemble(ensemble: PathEnsemble, *, n_sigma: float = 6.0) -> dict:
 class MollifiedDrift:
     """Gaussian smoothing ``b_eps(t,x) = E[b(t, x + eps*G)]``, ``G ~ N(0, I)``.
 
-    Values and Jacobians are Gauss–Hermite quadratures; the Jacobian uses the
+    Values and Jacobians are the same Gauss–Hermite node average
+    (:func:`_node_average`) with different weights; the Jacobian uses the
     Gaussian integration-by-parts identity
 
         ``grad b_eps(x) = E[b(t, x + eps*G) G^T] / eps``
@@ -192,21 +194,12 @@ class MollifiedDrift:
         return self.value(t, x)
 
     def value(self, t, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        m, d = x.shape
-        k = self.nodes.shape[0]
-        shifted = (x[:, None, :] + self.eps * self.nodes[None, :, :]).reshape(m * k, d)
-        vals = np.asarray(self.raw(t, shifted), dtype=float).reshape(m, k, d)
-        return np.einsum("mkd,k->md", vals, self.weights)
+        return _node_average(lambda p: self.raw(t, p), x, self.eps,
+                             self.nodes, self.weights)
 
     def jacobian(self, t, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        m, d = x.shape
-        k = self.nodes.shape[0]
-        shifted = (x[:, None, :] + self.eps * self.nodes[None, :, :]).reshape(m * k, d)
-        vals = np.asarray(self.raw(t, shifted), dtype=float).reshape(m, k, d)
-        w_nodes = self.weights[:, None] * self.nodes  # (K, d)
-        return np.einsum("mki,kj->mij", vals, w_nodes) / self.eps
+        return _node_average(lambda p: self.raw(t, p), x, self.eps, self.nodes,
+                             self.weights[:, None] * self.nodes) / self.eps
 
 
 def mollify_drift(drift: Callable, eps: float, *, dim: int = 1,
@@ -246,6 +239,27 @@ def _gauss_hermite_rule(quad_points: int, dim: int) -> tuple[np.ndarray, np.ndar
     for wg in wgrids:
         weights = weights * wg.ravel()
     return nodes, weights / weights.sum()
+
+
+def _node_average(h: Callable, x, scale: float, nodes: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """``sum_k weights[k] (x) h(x + scale * nodes[k])`` for each row of ``x``.
+
+    ``h`` maps ``(P, d)`` points to ``(P, I)`` (or ``(P,)``) values and
+    ``weights`` is ``(K, ...)``; the result is ``(M, I, ...)``.  Rows go in
+    blocks of at least one row and at most ``_NODE_AVERAGE_POINTS`` points.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    m, d = x.shape
+    k = nodes.shape[0]
+    rows = max(1, _NODE_AVERAGE_POINTS // k)
+    parts = []
+    for lo in range(0, m, rows):
+        block = x[lo:lo + rows]
+        points = (block[:, None, :] + scale * nodes[None, :, :]).reshape(-1, d)
+        vals = np.asarray(h(points), dtype=float).reshape(block.shape[0], k, -1)
+        parts.append(np.einsum("mki,k...->mi...", vals, weights))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +507,9 @@ def continuity_diagnostic(
 
     Each pair ``(s, t, x, y)`` is simulated with *shared* noise (the same
     increment array drives the start at ``x`` and the start at ``y``), and
-    the probe times are snapped to the simulation grid.  A pair keeps only
-    its two snapped nodes, so a call holds at most one path array at a time.
+    the probe times are snapped to the simulation grid.  Each start is
+    simulated only up to the node it is read at, and a pair keeps only its
+    two snapped nodes, so a call holds at most one path array at a time.
     Degenerate pairs with ``s == t`` and ``x == y`` are rejected — their
     denominator vanishes.
     """
@@ -521,9 +536,8 @@ def continuity_diagnostic(
         yv = np.asarray(y, dtype=float).reshape(-1)
         i_t = int(round(t / problem.horizon * n_steps))
         i_s = int(round(s / problem.horizon * n_steps))
-        # copy the snapped node so that the full path array is freed at once
-        xt = euler_maruyama(problem, grid, inc, x0=xv).paths[:, i_t, :].copy()
-        ys = euler_maruyama(problem, grid, inc, x0=yv).paths[:, i_s, :].copy()
+        xt = _state_at(problem, grid, inc, xv, i_t)
+        ys = _state_at(problem, grid, inc, yv, i_s)
         sq = np.sum((xt - ys) ** 2, axis=1)
         t_eff = grid.times[i_t]
         s_eff = grid.times[i_s]
@@ -532,3 +546,12 @@ def continuity_diagnostic(
         errs[idx] = sq.std(ddof=1) / math.sqrt(n_paths) / denom
     return ContinuityReport(pairs=pairs, ratios=ratios, std_errors=errs,
                             n_paths=n_paths, n_steps=n_steps)
+
+
+def _state_at(problem, grid, inc, start, i):
+    """Node ``i`` of the Euler paths from ``start``, simulated up to it only."""
+    if i == 0:  # a TimeGrid needs two nodes
+        return np.broadcast_to(start, (inc.shape[0], start.size))
+    prefix = TimeGrid(grid.times[:i + 1])
+    paths = euler_maruyama(problem, prefix, inc[:, :i], x0=start).paths
+    return paths[:, i, :].copy()  # frees the path array at once

@@ -6,7 +6,7 @@ Three routes, deliberately disjoint from the regression machinery:
   monotone transform ``u`` with ``u'' = 2 f u'`` under which ``u(Y)`` is a
   martingale, so ``Y_t = u^{-1}(E[u(phi(X_T)) | F_t])``.  With zero drift the
   conditional expectation is a Gaussian integral evaluated by Gauss–Hermite
-  quadrature; otherwise it falls back to nested Monte Carlo.
+  quadrature; otherwise it is nested Monte Carlo (:func:`nested_mc_ce`).
 * :func:`linear_oracle` — drivers ``a y + c·z + h(t, x)`` integrate in closed
   form after a measure shift: simulate under drift ``b + c`` and discount.
 * :func:`nested_mc_ce` — brute-force conditional expectations by re-simulating
@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FBSDEProblem, TimeGrid, ValidationError, _cumtrapz
-from .forward import (PathEnsemble, _gauss_hermite_rule, euler_maruyama,
-                      sample_brownian)
+from .forward import (PathEnsemble, _gauss_hermite_rule, _node_average,
+                      euler_maruyama, sample_brownian)
 
 __all__ = [
     "DominationMap",
@@ -149,7 +149,6 @@ def domination_oracle(
     f: Callable[[np.ndarray], np.ndarray] | None = None,
     quad_points: int = 64,
     table_range: float | None = None,
-    table_points: int = 20001,
     ensemble: PathEnsemble | None = None,
     time_indices: Sequence[int] | None = None,
     inner_paths: int = 4000,
@@ -161,17 +160,16 @@ def domination_oracle(
     ``f`` defaults to the problem driver's own ``f`` evaluated at ``|y|``
     (correct whenever the driver really is ``f(|y|)|z|^2`` with the solution
     staying on one side, and for even ``f`` always); pass it explicitly for
-    signed variants.  With ``b == 0`` the terminal state is exactly Gaussian
-    and the expectation is Gauss–Hermite quadrature; otherwise the forward
-    marginal is sampled with an Euler scheme and the expectation is a plain
-    (or, for mid-grid fields, nested) Monte Carlo average.
+    signed variants.
 
-    When ``ensemble`` and ``time_indices`` are given, the conditional
-    expectations at those nodes are evaluated per outer path and returned as
-    ``y_field``.  With zero drift both the value and the field use the tensor
-    Gauss–Hermite rule of :func:`~qfbsde.forward.mollify_drift` (at most
-    300 000 nodes), so the field costs ``quad_points**d`` terminal
-    evaluations per node.
+    Value and field are one conditional expectation
+    ``E[u(phi(X_T)) | X_{t_i} = x]``: ``y0`` is the field at ``x0`` on node 0
+    of ``TimeGrid.uniform(T, inner_steps)``, and with ``ensemble`` and
+    ``time_indices`` the field at those nodes is returned per outer path as
+    ``y_field``.  With ``b == 0`` the expectation is the tensor Gauss–Hermite
+    rule of :func:`~qfbsde.forward.mollify_drift` (``quad_points**d``
+    terminal evaluations per state, at most 300 000); otherwise it is
+    :func:`nested_mc_ce` (``inner_paths >= 100`` branches per state).
     """
     if not math.isfinite(problem.terminal_bound):
         raise ValidationError(
@@ -185,33 +183,31 @@ def domination_oracle(
         f = lambda y: np.asarray(f_raw(np.abs(y)), dtype=float)  # noqa: E731
     rng_bound = problem.terminal_bound * 1.000001 + 1e-9
     mapping = domination_map(
-        f, table_range if table_range is not None else rng_bound,
-        n_points=table_points)
-
-    phi = problem.terminal
-    t_total = problem.horizon
+        f, table_range if table_range is not None else rng_bound)
     x0 = np.asarray(problem.x0, dtype=float)
-    d = problem.dim
-    drift_free = _is_zero_drift(problem, x0, t_total)
+    drift_free = _is_zero_drift(problem, x0, problem.horizon)
 
-    if drift_free:
-        u_mean, se = _gh_expectation(mapping, phi, x0, t_total, d, quad_points)
-    else:
-        u_mean, se = _mc_expectation(
-            mapping, phi, problem, inner_paths, inner_steps, seed)
-    y0 = float(mapping.inverse(np.array([u_mean]))[0])
+    def y_at(states, i, grid):
+        u_cond, se = _conditional_u(states, i, grid, problem, mapping,
+                                    drift_free, quad_points, inner_paths, seed)
+        return mapping.inverse(np.clip(
+            u_cond, mapping.u_values[0], mapping.u_values[-1])), se
+
+    y_start, se = y_at(x0[None, :], 0,
+                       TimeGrid.uniform(problem.horizon, inner_steps))
+    y0 = float(y_start[0])
     # delta method: d u^{-1} / d v = 1 / u'(u^{-1}(v))
     up = float(np.interp(y0, mapping.xs, mapping.u_prime))
-    stderr = se / max(up, 1e-300)
+    stderr = float(se[0]) / max(up, 1e-300)
 
     y_field = None
     idx_out = None
     if ensemble is not None and time_indices is not None:
         idx_out = tuple(int(i) for i in time_indices)
-        y_field = _oracle_field(
-            mapping, phi, problem, ensemble, idx_out,
-            drift_free, quad_points, inner_paths, inner_steps, seed)
-    return OracleResult(y0=y0, stderr=float(stderr), y_field=y_field,
+        y_field = np.empty((ensemble.n_paths, len(idx_out)))
+        for col, i in enumerate(idx_out):
+            y_field[:, col] = y_at(ensemble.paths[:, i, :], i, ensemble.grid)[0]
+    return OracleResult(y0=y0, stderr=stderr, y_field=y_field,
                         time_indices=idx_out, mapping=mapping)
 
 
@@ -223,45 +219,22 @@ def _is_zero_drift(problem: FBSDEProblem, x0: np.ndarray, t: float) -> bool:
     return True
 
 
-def _gh_expectation(mapping, phi, x0, t_total, d, quad_points):
-    nodes, weights = _gauss_hermite_rule(quad_points, d)
-    states = x0[None, :] + math.sqrt(t_total) * nodes
-    vals = mapping.u(np.asarray(phi(states), dtype=float))
-    return float(np.sum(weights * vals)), 0.0
+def _conditional_u(states, i, grid, problem, mapping, drift_free,
+                   quad_points, inner_paths, seed):
+    """``E[u(phi(X_T)) | X_{t_i} = states]`` per row, and standard errors."""
+    def u_phi(x):
+        return mapping.u(np.asarray(problem.terminal(x), dtype=float))
 
-
-def _mc_expectation(mapping, phi, problem, n_paths, n_steps, seed):
-    grid = TimeGrid.uniform(problem.horizon, n_steps)
-    inc = sample_brownian(grid, n_paths, problem.dim, seed)
-    ens = euler_maruyama(problem, grid, inc, seed=seed)
-    vals = mapping.u(np.asarray(phi(ens.paths[:, -1, :]), dtype=float))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
-
-
-def _oracle_field(mapping, phi, problem, ensemble, idx_out, drift_free,
-                  quad_points, inner_paths, inner_steps, seed):
-    grid = ensemble.grid
-    t_total = grid.horizon
-    out = np.empty((ensemble.paths.shape[0], len(idx_out)))
-    for col, i in enumerate(idx_out):
-        states = ensemble.paths[:, i, :]
-        tau = t_total - grid.times[i]
-        if tau <= 0.0:
-            u_cond = mapping.u(np.asarray(phi(states), dtype=float))
-        elif drift_free:
-            nodes, weights = _gauss_hermite_rule(quad_points, states.shape[1])
-            u_cond = np.zeros(states.shape[0])
-            for g_node, w in zip(nodes, weights):
-                shifted = states + math.sqrt(tau) * g_node
-                u_cond += w * mapping.u(np.asarray(phi(shifted), dtype=float))
-        else:
-            u_cond, _ = nested_mc_ce(
-                problem, states, i, grid,
-                lambda xt: mapping.u(np.asarray(phi(xt), dtype=float)),
-                inner_paths=inner_paths, seed=seed)
-        out[:, col] = mapping.inverse(
-            np.clip(u_cond, mapping.u_values[0], mapping.u_values[-1]))
-    return out
+    if not drift_free:
+        return nested_mc_ce(problem, states, i, grid, u_phi,
+                            inner_paths=inner_paths, seed=seed)
+    if i == grid.n_steps:
+        est = u_phi(states)
+    else:
+        nodes, weights = _gauss_hermite_rule(quad_points, problem.dim)
+        tau = grid.horizon - grid.times[i]
+        est = _node_average(u_phi, states, math.sqrt(tau), nodes, weights)[:, 0]
+    return est, np.zeros_like(est)
 
 
 def linear_oracle(

@@ -25,13 +25,7 @@ import numpy as np
 
 from .core import QfbsdeError, TimeGrid
 from .forward import simulate, variational_flow
-from .backward import (
-    NOT_FOUND,
-    apriori_check,
-    estimate_bmo,
-    lsmc_solve,
-    stabilization_level,
-)
+from .backward import apriori_check, estimate_bmo, lsmc_solve
 from .oracles import domination_oracle, linear_oracle
 from .analysis import (
     path_regularity_stat,
@@ -233,12 +227,7 @@ def _kind_truncation(config):
     problem, _, rc, basis, ensemble = _solve_common(config)
     exp = config.experiment
     n_list = list(exp["n_list"])
-    cache: dict = {}
-    curve_report = truncation_error_curve(
-        problem, ensemble, basis, n_list, rc, _cache=cache)
-    stab = stabilization_level(
-        problem, ensemble, basis, n_list + [n_list[-1] + 1], rc,
-        _cache=cache)
+    curve_report = truncation_error_curve(problem, ensemble, basis, n_list, rc)
     errs = curve_report.errors
     ses = curve_report.stderrs
     decay = (float(errs[-1] / errs[0]) if errs[0] > 0.0
@@ -255,7 +244,7 @@ def _kind_truncation(config):
         "z_errors": curve_report.metadata.get("z_errors"),
         "slope": curve_report.slope,
         "r2": curve_report.r2,
-        "stabilization_level": None if stab is NOT_FOUND else stab,
+        "stabilization_level": curve_report.metadata["stabilization_level"],
         "decay_ratio": decay,
         "decay_ratio_max": exp["decay_ratio"],
         "monotone_within_sigma": monotone,

@@ -313,3 +313,27 @@ def test_representation_identities_with_rough_drift(poly_basis):
     # measures it at production resolution)
     dev = rep.max_deviation("control_gradient")
     assert 0.0 < dev < 0.6
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_malliavin_fields_are_anchored_gradient_fields(dim):
+    # D_uY_t = nablaY_t (nablaX_u)^{-1} and D_uZ_t = (nablaX_u)^{-T} nablaZ_t,
+    # bit for bit, also when the earliest anchor is past the start
+    prob = build_problem(dim=dim, x0=np.zeros(dim), horizon=1.0,
+                         drift="sign", terminal="tanh", driver="colehopf",
+                         mollify_eps=0.1, mollify_quad_points=16)
+    grid = TimeGrid.uniform(1.0, 12)
+    rc = RunConfig(seed=9, n_paths=600)
+    basis = RegressionBasis(kind="polynomial", degree=2)
+    ens = simulate(prob, grid, rc.n_paths, rc.seed)
+    flow = variational_flow(prob, ens)
+    base = lsmc_solve(prob, ens, basis, 8, rc)
+    ny, nz = solve_gradient_bsde(prob, ens, flow, base, basis, rc)
+    anchors = (3, 7, 11)
+    dy, dz = solve_malliavin_bsde(prob, ens, flow, base, anchors, basis, rc)
+    for u in anchors:
+        inv_u = flow.nabla_x_inv[:, u]
+        assert np.array_equal(
+            dy[u], np.einsum("mik,mkl->mil", ny[:, u:], inv_u))
+        assert np.array_equal(
+            dz[u], np.einsum("mikl,mka->mial", nz[:, u:], inv_u))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qfbsde import forward
 from qfbsde import (
     DriftEvaluationError,
     FBSDEProblem,
@@ -155,6 +156,19 @@ def test_mollified_sign_jacobian_peak():
     exact = math.sqrt(2.0 / math.pi) / eps
     assert abs(peak - exact) / exact < 0.01
     assert peak > 0
+
+
+def test_node_average_blocks_rows_without_changing_bits(monkeypatch):
+    # value and Jacobian over many blocks equal the one-block evaluation
+    sign, _, _ = make_drift("sign")
+    moll = mollify_drift(sign, 0.1, dim=2, quad_points=8)
+    x = np.random.Generator(np.random.Philox(key=4)).normal(size=(37, 2))
+    value, jac = moll.value(0.3, x), moll.jacobian(0.3, x)
+    assert jac.shape == (37, 2, 2)
+    for points in (1, 64 * 5, 64 * 36):  # one row, five rows, 36 rows
+        monkeypatch.setattr(forward, "_NODE_AVERAGE_POINTS", points)
+        assert np.array_equal(moll.value(0.3, x), value)
+        assert np.array_equal(moll.jacobian(0.3, x), jac)
 
 
 def test_mollify_rejects_bad_args():
@@ -336,3 +350,31 @@ def test_continuity_diagnostic_rejects_degenerate_pairs():
     with pytest.raises(ValidationError):
         continuity_diagnostic(prob, [(0.0, 0.5, np.zeros(2), np.ones(2))],
                               n_steps=8, n_paths=50, seed=1)
+
+
+def test_continuity_diagnostic_matches_full_grid_paths():
+    # each start runs only up to the node it is read at; the ratios equal
+    # the ones read off full-grid paths bit for bit, node 0 included
+    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
+                         drift="sign", terminal="tanh", driver="colehopf",
+                         mollify_eps=0.1)
+    pairs = [
+        (0.0, 0.5, np.zeros(1), np.ones(1)),     # s snaps to node 0
+        (0.01, 0.3, -np.ones(1), np.ones(1)),    # s rounds down to node 0
+        (0.4, 1.0, np.ones(1), 0.5 * np.ones(1)),
+    ]
+    n_steps, n_paths, seed = 16, 300, 8
+    rep = continuity_diagnostic(prob, pairs, n_steps=n_steps,
+                                n_paths=n_paths, seed=seed)
+    grid = TimeGrid.uniform(1.0, n_steps)
+    inc = sample_brownian(grid, n_paths, 1, seed)
+    for idx, (s, t, x, y) in enumerate(pairs):
+        i_s, i_t = round(s * n_steps), round(t * n_steps)
+        xt = euler_maruyama(prob, grid, inc, x0=x).paths[:, i_t, :]
+        ys = euler_maruyama(prob, grid, inc, x0=y).paths[:, i_s, :]
+        sq = np.sum((xt - ys) ** 2, axis=1)
+        denom = abs(grid.times[i_t] - grid.times[i_s]) + float(
+            np.sum((x - y) ** 2))
+        assert rep.ratios[idx] == sq.mean() / denom
+        assert rep.std_errors[idx] == (
+            sq.std(ddof=1) / math.sqrt(n_paths) / denom)

@@ -128,6 +128,22 @@ def test_domination_oracle_field_uses_the_tensor_rule_in_2d():
     assert np.abs(res.y_field[:, 0] - res.y0).max() < 1e-12
 
 
+@pytest.mark.parametrize("drift", ["zero", "constant"])
+def test_domination_oracle_value_is_the_field_at_the_start(drift):
+    # value and field are one conditional expectation: Gauss-Hermite with
+    # zero drift, nested Monte Carlo otherwise; at node 0 of the oracle's
+    # own grid every path sits at x0, so the field is the value bit for bit
+    prob = build_problem(dim=1, x0=np.full(1, 0.2), horizon=1.0,
+                         drift=drift, terminal="tanh", driver="colehopf")
+    inner_steps = 8
+    ens = simulate(prob, TimeGrid.uniform(1.0, inner_steps), 20, seed=5)
+    res = domination_oracle(prob, quad_points=48, ensemble=ens,
+                            time_indices=(0, inner_steps // 2),
+                            inner_paths=200, inner_steps=inner_steps, seed=3)
+    assert (res.stderr > 0.0) == (drift != "zero")
+    assert np.array_equal(res.y_field[:, 0], np.full(20, res.y0))
+
+
 def test_domination_oracle_mc_route_matches_gaussian_shift():
     # constant drift keeps the terminal state exactly Gaussian around x0+T,
     # so the nested route must agree with a quadrature done by hand
