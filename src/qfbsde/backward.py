@@ -218,8 +218,11 @@ class _StepRegressor:
     floor refers to lives on the Gram: ``gram`` is ``S AᵀA S + ridge·I``
     with ``S = diag(scale)`` the inverse column norms, and ``project``
     applies ``scale`` to the right-hand side and to the coefficients.
-    ``lstsq_fallbacks`` counts the solves that found ``gram`` singular and
-    fell back to least squares.
+    A ``gram`` of lower numerical rank (``np.linalg.matrix_rank``) is
+    decided once, at construction: every solve on it goes to least squares
+    and is counted in ``lstsq_fallbacks``.  Unit-scaled columns bound the
+    condition number by ``(K + ridge) / ridge``, so only a ridge below
+    ``K**2`` machine epsilons needs the rank test.
     """
 
     def __init__(self, basis: RegressionBasis, states: np.ndarray):
@@ -250,9 +253,12 @@ class _StepRegressor:
         self.a = a
         self.scale = 1.0 / norms
         g = g * np.outer(self.scale, self.scale)
+        k = g.shape[0]
         if basis.ridge > 0.0:
-            g = g + basis.ridge * np.eye(g.shape[0])
+            g = g + basis.ridge * np.eye(k)
         self.gram = g
+        self.singular = (basis.ridge < k * k * np.finfo(float).eps
+                         and np.linalg.matrix_rank(g) < k)
 
     def project(self, targets: np.ndarray) -> np.ndarray:
         """In-sample fitted values for ``(M,)`` or ``(M, k)`` targets."""
@@ -273,11 +279,11 @@ class _StepRegressor:
         else:
             scale = self.scale[:, None]
             rhs = scale * (self.a.T @ y2)
-            try:
-                coef = np.linalg.solve(self.gram, rhs)
-            except np.linalg.LinAlgError:
+            if self.singular:
                 self.lstsq_fallbacks += 1
                 coef = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+            else:
+                coef = np.linalg.solve(self.gram, rhs)
             out = self.a @ (scale * coef)
         if const.any():
             out[:, const] = lo[const]

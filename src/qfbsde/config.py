@@ -43,12 +43,6 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = (
-    "solve", "oracle", "convergence", "regularity",
-    "truncation", "derivatives", "stability", "bounds",
-)
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """One validation finding: where, what, why."""
@@ -124,11 +118,6 @@ _NUMERICS_SCHEMA = {
                    "must be >= 0 (0 means untruncated)"),
 }
 
-_EXPERIMENT_COMMON = {
-    "kind": ("str", "solve", lambda v: v in EXPERIMENT_KINDS,
-             f"must be one of {list(EXPERIMENT_KINDS)}"),
-}
-
 _EXPERIMENT_KIND_SCHEMA = {
     "solve": {},
     "oracle": {
@@ -188,6 +177,13 @@ _EXPERIMENT_KIND_SCHEMA = {
         "y_slack": ("float", 0.01, _nonnegative, "must be >= 0"),
         "bmo_slack": ("float", 0.10, _nonnegative, "must be >= 0"),
     },
+}
+
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_KIND_SCHEMA)
+
+_EXPERIMENT_COMMON = {
+    "kind": ("str", "solve", lambda v: v in EXPERIMENT_KINDS,
+             f"must be one of {list(EXPERIMENT_KINDS)}"),
 }
 
 _OUTPUT_SCHEMA = {
@@ -537,8 +533,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     0, "experiment.anchors",
                     f"anchor {bad[0]} is outside the grid "
                     f"(grid_n = {numerics['grid_n']})"))
-            rough = problem["drift"] in ("sign", "holder_sqrt")
-            if rough and numerics["eps"] == 0.0:
+            _, drift_gradient, _ = DRIFTS[problem["drift"]]()
+            if drift_gradient is None and numerics["eps"] == 0.0:
                 diags.append(Diagnostic(
                     0, "numerics.eps",
                     f"drift {problem['drift']!r} has no gradient; "

@@ -99,16 +99,15 @@ class DerivativeSolution:
 
     def dy_at(self, u: int, i: int) -> np.ndarray:
         """``D_u Y_{t_i}`` — zeros (not stored) for ``i < u``."""
-        arr = self.dy[u]
-        if i < u:
-            return np.zeros_like(arr[:, 0, :])
-        return arr[:, i - u, :]
+        return _anchored(self.dy[u], u, i)
 
     def dz_at(self, u: int, i: int) -> np.ndarray:
-        arr = self.dz[u]
-        if i < u:
-            return np.zeros_like(arr[:, 0, :, :])
-        return arr[:, i - u, :, :]
+        return _anchored(self.dz[u], u, i)
+
+
+def _anchored(arr, u, i):
+    """Node ``i`` of a field stored from anchor ``u`` on; zeros before it."""
+    return np.zeros_like(arr[:, 0]) if i < u else arr[:, i - u]
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,22 @@ def _linear_backward(problem, ensemble, flow, base, basis, config,
     return v, w
 
 
+def _gradient_fields(problem, ensemble, flow, base, basis, config, start):
+    """``(nablaY, nablaZ)`` on the nodes ``start..N``.
+
+    The reduced induction from the terminal ``phi'(X_T)`` back to ``start``
+    (see ``_linear_backward``), reconstructed pathwise as ``(v nablaX,
+    nablaX^T w)``.  The reduced ``(v, w)`` are freed on return, so they
+    never coexist with fields the caller derives from these.
+    """
+    v, w = _linear_backward(
+        problem, ensemble, flow, base, basis, config,
+        _terminal_gradient(problem, ensemble.paths[:, -1, :]), start)
+    nabla_x = flow.nabla_x[:, start:]
+    return (np.einsum("mik,mikl->mil", v, nabla_x),
+            np.einsum("mikl,mika->mial", w, nabla_x[:, :-1]))
+
+
 def solve_gradient_bsde(
     problem: FBSDEProblem,
     ensemble: PathEnsemble,
@@ -255,17 +270,7 @@ def solve_gradient_bsde(
     gradients fall back to central differences (step ``1e-5``) when
     analytic ones are absent.
     """
-    x_term = ensemble.paths[:, -1, :]
-    v, w = _linear_backward(
-        problem, ensemble, flow, base, basis, config,
-        terminal_value=_terminal_gradient(problem, x_term), start_index=0)
-    return _reconstruct(v, w, flow.nabla_x)
-
-
-def _reconstruct(v, w, nabla_x):
-    """Full tangent fields ``(v nablaX, nablaX^T w)`` on the nodes ``v`` covers."""
-    return (np.einsum("mik,mikl->mil", v, nabla_x),
-            np.einsum("mikl,mika->mial", w, nabla_x[:, :-1]))
+    return _gradient_fields(problem, ensemble, flow, base, basis, config, 0)
 
 
 def solve_malliavin_bsde(
@@ -296,20 +301,14 @@ def solve_malliavin_bsde(
         raise ValidationError("need at least one anchor index")
     if anchors[0] < 0 or anchors[-1] >= n:
         raise ValidationError(f"anchors must lie in [0, {n - 1}]")
-    x_term = ensemble.paths[:, -1, :]
     u0 = anchors[0]
-    # the reduced fields stay unbound, so they are freed once the full ones
-    # exist and the anchored fields below never coexist with them
-    nabla_y, nabla_z = _reconstruct(*_linear_backward(
-        problem, ensemble, flow, base, basis, config,
-        terminal_value=_terminal_gradient(problem, x_term), start_index=u0),
-        flow.nabla_x[:, u0:])
-    dy: dict[int, np.ndarray] = {}
-    dz: dict[int, np.ndarray] = {}
-    for u in anchors:
-        inv_u = flow.nabla_x_inv[:, u]
-        dy[u] = np.einsum("mik,mkl->mil", nabla_y[:, u - u0:], inv_u)
-        dz[u] = np.einsum("mikl,mka->mial", nabla_z[:, u - u0:], inv_u)
+    nabla_y, nabla_z = _gradient_fields(problem, ensemble, flow, base, basis,
+                                        config, u0)
+    inv = flow.nabla_x_inv
+    dy = {u: np.einsum("mik,mkl->mil", nabla_y[:, u - u0:], inv[:, u])
+          for u in anchors}
+    dz = {u: np.einsum("mikl,mka->mial", nabla_z[:, u - u0:], inv[:, u])
+          for u in anchors}
     return dy, dz
 
 
@@ -349,16 +348,26 @@ class RepresentationReport:
         return "\n".join(lines)
 
 
-def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray):
-    """Mean relative gap between two per-path fields, with its standard
-    error across paths (fitted coefficients held fixed, so no refit noise).
+def _identity_profile(rows):
+    """The record of one identity from its ``(key, lhs, rhs)`` rows.
+
+    Per row: the mean over paths of the absolute gap, relative to the mean
+    magnitude of ``rhs``, and its standard error across paths with the
+    fitted coefficients held fixed (so no refit noise).  Rows are consumed
+    one at a time, so only one node's fields exist at once.
     """
-    gap = np.abs(lhs - rhs).mean(axis=tuple(range(1, lhs.ndim)))
-    scale = np.abs(rhs).mean()
-    denom = scale if scale > 0.0 else 1.0
-    m = gap.shape[0]
-    return float(gap.mean() / denom), float(
-        gap.std(ddof=1) / math.sqrt(m) / denom)
+    devs, ses, keys = [], [], []
+    for key, lhs, rhs in rows:
+        gap = np.abs(lhs - rhs).mean(axis=tuple(range(1, lhs.ndim)))
+        scale = np.abs(rhs).mean()
+        denom = scale if scale > 0.0 else 1.0
+        devs.append(float(gap.mean() / denom))
+        ses.append(float(gap.std(ddof=1) / math.sqrt(gap.shape[0]) / denom))
+        keys.append(key)
+    profile = np.asarray(devs)
+    k = int(profile.argmax())
+    return {"profile": profile, "keys": keys, "max": devs[k], "se": ses[k],
+            "argmax": keys[k]}
 
 
 def representation_check(
@@ -387,54 +396,25 @@ def representation_check(
     estimate.
     """
     n = base.z.shape[1]
-    out: dict[str, dict] = {}
-
-    devs, ses, keys = [], [], []
-    for u in deriv.anchors:
-        nx_u = flow.nabla_x[:, u]
-        for i in range(u, n + 1):
-            lhs = np.einsum("mk,mkl->ml", deriv.dy_at(u, i), nx_u)
-            d, s = _relative_deviation(lhs, deriv.nabla_y[:, i, :])
-            devs.append(d)
-            ses.append(s)
-            keys.append((u, i))
-    out["malliavin_value"] = _collect(devs, ses, keys)
-
-    devs, ses, keys = [], [], []
-    for i in range(n):
-        lhs = np.einsum("mk,mkl->ml", base.z[:, i, :], flow.nabla_x[:, i])
-        d, s = _relative_deviation(lhs, deriv.nabla_y[:, i, :])
-        devs.append(d)
-        ses.append(s)
-        keys.append(i)
-    out["control_gradient"] = _collect(devs, ses, keys)
-
-    devs, ses, keys = [], [], []
-    for u in deriv.anchors:
-        nx_u = flow.nabla_x[:, u]
-        for i in range(u, n):
-            # contract the kick direction of D_uZ (first matrix index)
-            # against the flow at the anchor; the Brownian component rides
-            # along untouched
-            lhs = np.einsum("mkl,mka->mal", deriv.dz_at(u, i), nx_u)
-            d, s = _relative_deviation(lhs, deriv.nabla_z[:, i, :, :])
-            devs.append(d)
-            ses.append(s)
-            keys.append((u, i))
-    out["malliavin_control"] = _collect(devs, ses, keys)
-    return RepresentationReport(identities=out)
-
-
-def _collect(devs, ses, keys):
-    arr = np.asarray(devs)
-    k = int(arr.argmax())
-    return {
-        "profile": arr,
-        "keys": list(keys),
-        "max": float(arr[k]),
-        "se": float(ses[k]),
-        "argmax": keys[k],
-    }
+    nabla_x = flow.nabla_x
+    return RepresentationReport(identities={
+        "malliavin_value": _identity_profile(
+            ((u, i),
+             np.einsum("mk,mkl->ml", deriv.dy_at(u, i), nabla_x[:, u]),
+             deriv.nabla_y[:, i])
+            for u in deriv.anchors for i in range(u, n + 1)),
+        "control_gradient": _identity_profile(
+            (i, np.einsum("mk,mkl->ml", base.z[:, i], nabla_x[:, i]),
+             deriv.nabla_y[:, i])
+            for i in range(n)),
+        # contract the kick direction of D_uZ (first matrix index) against
+        # the flow at the anchor; the Brownian component rides along
+        "malliavin_control": _identity_profile(
+            ((u, i),
+             np.einsum("mkl,mka->mal", deriv.dz_at(u, i), nabla_x[:, u]),
+             deriv.nabla_z[:, i])
+            for u in deriv.anchors for i in range(u, n)),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import FBSDEProblem, QfbsdeError, TimeGrid, ValidationError
 
@@ -437,6 +436,9 @@ def zvonkin_transform_1d(
         raise ValidationError("time_grid must be strictly increasing")
     if not (lam > 0):
         raise ValidationError("lam must be positive")
+    # imported here: scipy.linalg costs more to load than the rest of the
+    # package, and nothing else needs it
+    from scipy.linalg import solve_banded
 
     s = xs.size
     h = float(hs[0])

@@ -457,6 +457,13 @@ def build_problem(
         drift_gradient=b_jac, terminal_gradient=phi_grad, label=label)
 
 
+def _defaults(factory) -> dict:
+    """A factory's parameters and their defaults, read off its signature."""
+    return {k: p.default
+            for k, p in inspect.signature(factory).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
 def describe_registry() -> dict:
     """Names, parameters (with defaults) and one-line docs, per family."""
     out: dict = {}
@@ -465,12 +472,7 @@ def describe_registry() -> dict:
                           ("growth_profiles", GROWTH_PROFILES)):
         rows = {}
         for name, factory in sorted(table.items()):
-            sig = inspect.signature(factory)
-            params = {
-                k: p.default for k, p in sig.parameters.items()
-                if p.default is not inspect.Parameter.empty
-            }
             doc = (factory.__doc__ or "").strip().splitlines()[0]
-            rows[name] = {"params": params, "doc": doc}
+            rows[name] = {"params": _defaults(factory), "doc": doc}
         out[family] = rows
     return out

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import QfbsdeError, TimeGrid
+from .core import QfbsdeError, TimeGrid, ValidationError
 from .forward import simulate, variational_flow
 from .backward import apriori_check, estimate_bmo, lsmc_solve
 from .oracles import domination_oracle, linear_oracle
@@ -41,6 +41,7 @@ from .derivatives import (
     solve_malliavin_bsde,
 )
 from .config import ExperimentConfig, emit_config
+from .registry import DRIVERS, _defaults
 from . import storage
 
 __all__ = ["run", "EXIT_PASS", "EXIT_ERROR", "EXIT_THRESHOLD"]
@@ -93,14 +94,14 @@ def _kind_solve(config):
 def _closed_form_y0(config, problem):
     """Route the problem to whichever oracle matches its driver family."""
     name = config.problem["driver"]
-    params = config._params_for(config.problem, "driver")
     quad = config.experiment.get("quad_points", 64)
     if name in ("colehopf", "f_power"):
         res = domination_oracle(problem, quad_points=quad)
         return res.y0, res.stderr, "domination"
     if name == "linear":
-        res = linear_oracle(problem, params.get("a", -1.0),
-                            params.get("c", 0.0), None)
+        params = {**_defaults(DRIVERS["linear"]),
+                  **config._params_for(config.problem, "driver")}
+        res = linear_oracle(problem, params["a"], params["c"], None)
         return res.y0, res.stderr, "linear"
     if name == "zero":
         res = linear_oracle(problem, 0.0, 0.0, None)
@@ -117,6 +118,10 @@ def _kind_oracle(config):
     gap = abs(sol.y0 - ref_y0)
     tol = config.experiment["tolerance"]
     mode = config.experiment["tolerance_mode"]
+    if mode == "relative" and ref_y0 == 0.0:
+        raise ValidationError(
+            f"{which} oracle value y0 = 0 admits no relative tolerance "
+            "(use tolerance_mode = \"absolute\")")
     measured = gap / abs(ref_y0) if mode == "relative" else gap
     report = {
         "y0_lsmc": sol.y0,

@@ -163,16 +163,18 @@ def test_regressor_is_mean_only_beyond_hat_support():
                        atol=1e-15)
 
 
-def _coin_ensemble(n_paths, grid, seed):
+def _coin_ensemble(n_paths, grid, seed, n_plus):
     """States in {-1, 1} at every node: x and x^3 are the same column.
 
-    Each node holds as many -1 as +1, so the scaled Gram is exactly
-    ``[[1, 0, 0], [0, 1, 1], [0, 1, 1]]`` and its LU meets an exact zero
-    pivot; an unbalanced node rounds the zero pivot away.
+    Each node holds ``n_plus`` states at +1 and the rest at -1.  Balanced,
+    the scaled Gram is exactly ``[[1, 0, 0], [0, 1, 1], [0, 1, 1]]`` and its
+    LU meets an exact zero pivot; unbalanced, rounding can turn that pivot
+    into about 1e-16 and the LU solves without complaint, though the Gram's
+    condition number is about 1e32.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = grid.n_steps
-    signs = np.repeat([-1.0, 1.0], n_paths // 2)
+    signs = np.repeat([-1.0, 1.0], [n_paths - n_plus, n_plus])
     paths = np.stack([rng.permutation(signs) for _ in range(n + 1)],
                      axis=1)[:, :, None]
     inc = rng.normal(size=(n_paths, n, 1)) * np.sqrt(grid.deltas)[None, :, None]
@@ -180,11 +182,13 @@ def _coin_ensemble(n_paths, grid, seed):
                         x0=np.zeros(1))
 
 
+@pytest.mark.parametrize("n_plus", [200, 194, 206, 183, 217])
 def test_singular_gram_falls_back_to_lstsq_and_is_counted(quad_problem,
-                                                           small_solution):
+                                                           small_solution,
+                                                           n_plus):
     basis = RegressionBasis(kind="polynomial", degree=4, ridge=0.0)
     grid = TimeGrid.uniform(1.0, 4)
-    ens = _coin_ensemble(400, grid, 8)
+    ens = _coin_ensemble(400, grid, 8, n_plus)
     reg = backward._StepRegressor(basis, ens.paths[:, 0, :])
     targets = np.sin(ens.increments[:, 0, 0])
     fitted = reg.project(targets)

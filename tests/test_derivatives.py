@@ -175,9 +175,16 @@ def test_driver_gradient_fd_fallback_agrees(quad_setup, poly_basis):
     assert np.abs(nz_a - nz_f).max() < 1e-6
 
 
-def test_central_difference_fallbacks_match_analytic_gradients():
+@pytest.mark.parametrize("driver, params", [
+    ("colehopf", {}),
+    ("linear", {"a": -0.7, "c": 0.4}),
+    ("f_power", {"q": 2.0}),
+    ("zero", {}),
+], ids=["colehopf", "linear", "f_power", "zero"])
+def test_central_difference_fallbacks_match_analytic_gradients(driver,
+                                                                params):
     prob = build_problem(dim=2, drift="zero", terminal="tanh",
-                         driver="colehopf")
+                         driver=driver, driver_params=params)
     drv = prob.driver
     rng = np.random.default_rng(4)
     x, z = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))

@@ -1,6 +1,9 @@
 """Forward-leg tests: sampling, integration, mollification, flow, Zvonkin."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +267,18 @@ def test_malliavin_forward_identity_and_validation(small_grid):
 # ---------------------------------------------------------------------------
 # Zvonkin transform
 # ---------------------------------------------------------------------------
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only the Zvonkin solve needs scipy.linalg, and loading it costs more
+    # than the rest of the package
+    src = os.path.dirname(os.path.dirname(forward.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qfbsde; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
 
 def test_zvonkin_residual_and_margin():
     drift, _, _ = make_drift("holder_sqrt")

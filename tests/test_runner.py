@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 from datetime import datetime
 
 import pytest
 
-from qfbsde import emit_config, parse_config, run
-from qfbsde.runner import EXIT_ERROR, EXIT_PASS, EXIT_THRESHOLD
+from qfbsde import emit_config, linear_oracle, parse_config, run
+from qfbsde.config import EXPERIMENT_KINDS
+from qfbsde.runner import _HANDLERS, EXIT_ERROR, EXIT_PASS, EXIT_THRESHOLD
 from qfbsde.storage import load_ensemble, load_fields, load_solution
 
 SOLVE_CFG = """
@@ -149,6 +151,53 @@ kind = "oracle"
     assert err.startswith("error [oracle]:")
     assert "no closed-form oracle" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_oracle_kind_relative_tolerance_on_zero_oracle_value(tmp_path,
+                                                            capsys):
+    code, out, _ = run_text("""
+[problem]
+terminal = "constant"
+terminal.c = 0.0
+driver = "zero"
+[numerics]
+grid_n = 5
+paths = 200
+[experiment]
+kind = "oracle"
+tolerance_mode = "relative"
+""", tmp_path)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error [oracle]:") and err.count("\n") == 1
+    assert "oracle value y0 = 0" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_oracle_kind_linear_driver_takes_factory_defaults(tmp_path):
+    text = """
+[problem]
+x0 = 1.0
+terminal = "coordinate"
+driver = "linear"
+[numerics]
+grid_n = 10
+paths = 2000
+seed = 3
+[experiment]
+kind = "oracle"
+"""
+    code, _, report = run_text(text, tmp_path)
+    assert code == EXIT_PASS
+    assert report["oracle"] == "linear"
+    # Y_0 = exp(a T) E[X_T] with the factory's a = -1 and c = 0
+    problem = parse_config(text).build_problem()
+    assert report["y0_oracle"] == linear_oracle(problem, -1.0, 0.0, None).y0
+    assert abs(report["y0_oracle"] - math.exp(-1.0)) < 0.01
+
+
+def test_every_experiment_kind_has_a_handler():
+    assert set(_HANDLERS) == set(EXPERIMENT_KINDS)
 
 
 def test_io_failure_is_exit_error(tmp_path, capsys):
