@@ -71,6 +71,8 @@ class _Untruncated:
 
 UNTRUNCATED = _Untruncated()
 
+_UPSILON2_PANELS = 4096  # trapezoid panels for the upsilon2 weight integral
+
 
 # ---------------------------------------------------------------------------
 # Truncation family
@@ -196,7 +198,6 @@ def upsilon2(
     horizon: float,
     f: Callable[[np.ndarray], np.ndarray],
     *,
-    quad_steps: int = 4096,
     use_proof_integrand: bool = False,
 ) -> float:
     """Square BMO-type budget for the control process.
@@ -206,7 +207,8 @@ def upsilon2(
         ``2 * U * (U + T*(lambda0 + lambda_z + lambda_y*U)) * exp(4*Q)``
 
     with ``U = ups1`` and ``Q`` the integral over ``[0, U]`` of the weight
-    ``1 + lambda_z * f(u)`` (composite trapezoid with ``quad_steps`` panels).
+    ``1 + lambda_z * f(u)`` (composite trapezoid with ``_UPSILON2_PANELS``
+    panels).
 
     ``use_proof_integrand=True`` switches the weight to
     ``lambda_z * (1 + f(u))``, the variant that appears when the estimate is
@@ -217,11 +219,9 @@ def upsilon2(
                     ("lambda_z", lambda_z), ("horizon", horizon)):
         if v < 0 or not math.isfinite(v):
             raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
-    if quad_steps < 1:
-        raise ValidationError("quad_steps must be >= 1")
     if ups1 == 0.0:
         return 0.0
-    u = np.linspace(0.0, ups1, quad_steps + 1)
+    u = np.linspace(0.0, ups1, _UPSILON2_PANELS + 1)
     fu = np.asarray(f(u), dtype=float)
     if fu.shape != u.shape:
         fu = np.broadcast_to(fu, u.shape).astype(float)
@@ -382,9 +382,10 @@ class DriverSpec:
         ``|g(t,x,y,z)| <= lambda0 + lambda_y|y| + lambda_z(|z| + f(|y|)|z|^2)``
 
     with ``f`` nondecreasing and locally bounded, and a stochastic-Lipschitz
-    modulus in ``y`` of order ``1 + |z|**alpha``.  Optional analytic
-    gradients feed the derivative solvers; when absent those fall back to
-    central finite differences.
+    modulus in ``y`` of order ``1 + |z|**alpha``.  The optional analytic
+    gradient ``grad(t, x, y, z)`` returns ``(g_x, g_y, g_z)`` of shapes
+    ``(M, d)``, ``(M,)`` and ``(M, d)``; it feeds the derivative solvers,
+    which fall back to central finite differences when it is ``None``.
     """
 
     g: Callable
@@ -394,9 +395,7 @@ class DriverSpec:
     alpha: float = 0.0
     f: Callable = lambda u: np.zeros_like(np.asarray(u, dtype=float))
     name: str = "driver"
-    grad_x: Callable | None = None
-    grad_y: Callable | None = None
-    grad_z: Callable | None = None
+    grad: Callable | None = None
 
     def __post_init__(self):
         for nm, v in (("lambda0", self.lambda0), ("lambda_y", self.lambda_y),
@@ -418,7 +417,7 @@ class DriverSpec:
 
         ``n is UNTRUNCATED`` returns ``self``.  The truncated driver keeps the
         declared constants (truncation only shrinks the envelope) and chains
-        the truncation derivative through any analytic gradients.
+        the truncation derivative through the analytic gradient, if any.
         """
         if n is UNTRUNCATED:
             return self
@@ -428,30 +427,14 @@ class DriverSpec:
         def g_n(t, x, y, z):
             return base.g(t, x, rho_truncate(y, level), rho_truncate(z, level))
 
-        def wrap_grad(grad, which):
-            if grad is None:
-                return None
+        def grad_n(t, x, y, z):
+            gx, gy, gz = base.grad(t, x, rho_truncate(y, level),
+                                   rho_truncate(z, level))
+            return (gx, gy * rho_truncate_deriv(y, level),
+                    gz * rho_truncate_deriv(z, level))
 
-            def g_grad(t, x, y, z):
-                yt = rho_truncate(y, level)
-                zt = rho_truncate(z, level)
-                val = grad(t, x, yt, zt)
-                if which == "y":
-                    return val * rho_truncate_deriv(y, level)
-                if which == "z":
-                    return val * rho_truncate_deriv(z, level)
-                return val
-
-            return g_grad
-
-        return replace(
-            base,
-            g=g_n,
-            name=f"{base.name}#trunc{level}",
-            grad_x=wrap_grad(base.grad_x, "x"),
-            grad_y=wrap_grad(base.grad_y, "y"),
-            grad_z=wrap_grad(base.grad_z, "z"),
-        )
+        return replace(base, g=g_n, name=f"{base.name}#trunc{level}",
+                       grad=None if base.grad is None else grad_n)
 
 
 @dataclass(frozen=True)

@@ -125,19 +125,13 @@ class FdGradient:
 
 def _driver_gradients(driver, t, x, y, z):
     """``(g_x, g_y, g_z)`` at frozen arguments, analytic or by differences."""
-    if driver.grad_x is not None:
-        gx = np.asarray(driver.grad_x(t, x, y, z), dtype=float)
-    else:
-        gx = _central_difference(lambda xe: driver.g(t, xe, y, z), x)
-    if driver.grad_y is not None:
-        gy = np.asarray(driver.grad_y(t, x, y, z), dtype=float)
-    else:
-        gy = _central_difference(
-            lambda ye: driver.g(t, x, ye[:, 0], z), y[:, None])[:, 0]
-    if driver.grad_z is not None:
-        gz = np.asarray(driver.grad_z(t, x, y, z), dtype=float)
-    else:
-        gz = _central_difference(lambda ze: driver.g(t, x, y, ze), z)
+    if driver.grad is not None:
+        return tuple(np.asarray(gk, dtype=float)
+                     for gk in driver.grad(t, x, y, z))
+    gx = _central_difference(lambda xe: driver.g(t, xe, y, z), x)
+    gy = _central_difference(
+        lambda ye: driver.g(t, x, ye[:, 0], z), y[:, None])[:, 0]
+    gz = _central_difference(lambda ze: driver.g(t, x, y, ze), z)
     return gx, gy, gz
 
 

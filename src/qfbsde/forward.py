@@ -38,6 +38,7 @@ __all__ = [
 _BLOCK = 4096
 _NODE_AVERAGE_POINTS = 1 << 20  # shifted points per block of _node_average
 _SCHEME = f"philox4x64-block{_BLOCK}"
+_ENSEMBLE_N_SIGMA = 6.0  # validate_ensemble's acceptance band, in sigmas
 _MASK64 = (1 << 64) - 1
 
 
@@ -143,12 +144,13 @@ def simulate(
     return euler_maruyama(problem, grid, inc, seed=int(seed))
 
 
-def validate_ensemble(ensemble: PathEnsemble, *, n_sigma: float = 6.0) -> dict:
+def validate_ensemble(ensemble: PathEnsemble) -> dict:
     """Moment audit of the increments: mean and variance per (step, coord).
 
     Sample means should sit within ``n_sigma * sqrt(dt/M)`` of zero and
     sample variances within the matching normal-approximation band of
-    ``dt``.  Returns a report dict with the worst standardized deviations.
+    ``dt``, with ``n_sigma = 6``.  Returns a report dict with the worst
+    standardized deviations and that ``n_sigma``.
     """
     inc = ensemble.increments
     m = inc.shape[0]
@@ -159,8 +161,9 @@ def validate_ensemble(ensemble: PathEnsemble, *, n_sigma: float = 6.0) -> dict:
     report = {
         "worst_mean_sigma": float(mean_dev.max()),
         "worst_var_sigma": float(var_dev.max()),
-        "n_sigma": float(n_sigma),
-        "passed": bool(mean_dev.max() <= n_sigma and var_dev.max() <= n_sigma),
+        "n_sigma": _ENSEMBLE_N_SIGMA,
+        "passed": bool(mean_dev.max() <= _ENSEMBLE_N_SIGMA
+                       and var_dev.max() <= _ENSEMBLE_N_SIGMA),
     }
     return report
 
@@ -512,38 +515,38 @@ def continuity_diagnostic(
     the probe times are snapped to the simulation grid.  Each start is
     simulated only up to the node it is read at, and a pair keeps only its
     two snapped nodes, so a call holds at most one path array at a time.
-    Degenerate pairs with ``s == t`` and ``x == y`` are rejected — their
-    denominator vanishes.
+    Degenerate pairs, whose times snap to one node and whose starts agree,
+    are rejected — their denominator vanishes.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("at least one probe pair is required")
     grid = TimeGrid.uniform(problem.horizon, n_steps)
     d = problem.dim
+    probes = []
     for idx, (s, t, x, y) in enumerate(pairs):
         xv = np.asarray(x, dtype=float).reshape(-1)
         yv = np.asarray(y, dtype=float).reshape(-1)
         if xv.size != d or yv.size != d:
             raise ValidationError(f"pair {idx}: start points must have dim {d}")
-        if s == t and np.array_equal(xv, yv):
-            raise ValidationError(f"pair {idx} is degenerate: s == t and x == y")
         if not (0 <= s <= problem.horizon and 0 <= t <= problem.horizon):
             raise ValidationError(f"pair {idx}: probe times must lie in [0, T]")
+        i_t = int(round(t / problem.horizon * n_steps))
+        i_s = int(round(s / problem.horizon * n_steps))
+        if i_t == i_s and np.array_equal(xv, yv):
+            raise ValidationError(f"pair {idx} is degenerate: s and t snap to "
+                                  f"node {i_t} and x == y")
+        probes.append((xv, yv, i_t, i_s))
 
     inc = sample_brownian(grid, n_paths, d, seed)
     ratios = np.empty(len(pairs))
     errs = np.empty(len(pairs))
-    for idx, (s, t, x, y) in enumerate(pairs):
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        yv = np.asarray(y, dtype=float).reshape(-1)
-        i_t = int(round(t / problem.horizon * n_steps))
-        i_s = int(round(s / problem.horizon * n_steps))
+    for idx, (xv, yv, i_t, i_s) in enumerate(probes):
         xt = _state_at(problem, grid, inc, xv, i_t)
         ys = _state_at(problem, grid, inc, yv, i_s)
         sq = np.sum((xt - ys) ** 2, axis=1)
-        t_eff = grid.times[i_t]
-        s_eff = grid.times[i_s]
-        denom = abs(t_eff - s_eff) + float(np.sum((xv - yv) ** 2))
+        denom = (abs(grid.times[i_t] - grid.times[i_s])
+                 + float(np.sum((xv - yv) ** 2)))
         ratios[idx] = sq.mean() / denom
         errs[idx] = sq.std(ddof=1) / math.sqrt(n_paths) / denom
     return ContinuityReport(pairs=pairs, ratios=ratios, std_errors=errs,

@@ -39,6 +39,8 @@ __all__ = [
     "nested_mc_ce",
 ]
 
+_DOMINATION_POINTS = 20001  # odd, so the symmetric table grid contains 0
+
 
 def gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for expectations against a standard normal.
@@ -100,8 +102,6 @@ class DominationMap:
 def domination_map(
     f: Callable[[np.ndarray], np.ndarray],
     x_max: float,
-    *,
-    n_points: int = 20001,
 ) -> DominationMap:
     """Build the transform table for ``f`` on ``[-x_max, x_max]``.
 
@@ -110,9 +110,7 @@ def domination_map(
     """
     if x_max <= 0.0:
         raise ValidationError("x_max must be positive")
-    if n_points < 3:
-        raise ValidationError("n_points must be at least 3")
-    half = np.linspace(0.0, float(x_max), (n_points + 1) // 2)
+    half = np.linspace(0.0, float(x_max), (_DOMINATION_POINTS + 1) // 2)
     xs = np.concatenate([-half[:0:-1], half])
     fv = np.asarray(f(xs), dtype=float)
     if fv.shape != xs.shape or not np.all(np.isfinite(fv)):

@@ -81,17 +81,19 @@ GROWTH_PROFILES = {
 # callable maps (t, x[M,d]) -> (M,d); the gradient, when analytic, maps
 # (t, x[M,d]) -> (M,d,d).
 
+def _zero_jacobian(t, x):
+    """The Jacobian of every state-independent drift."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.zeros((x.shape[0], x.shape[1], x.shape[1]))
+
+
 def _drift_zero():
     """No drift; the state is plain Brownian motion."""
 
     def b(t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def jac(t, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-
-    return b, jac, 0.0
+    return b, _zero_jacobian, 0.0
 
 
 def _drift_constant(c: float = 1.0):
@@ -100,11 +102,7 @@ def _drift_constant(c: float = 1.0):
     def b(t, x, _c=float(c)):
         return np.full_like(np.asarray(x, dtype=float), _c)
 
-    def jac(t, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-
-    return b, jac, abs(float(c))
+    return b, _zero_jacobian, abs(float(c))
 
 
 def _drift_sign():
@@ -233,9 +231,9 @@ def _driver_zero():
     return DriverSpec(
         g=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
         lambda0=0.0, lambda_y=0.0, lambda_z=0.0, name="zero",
-        grad_x=lambda t, x, y, z: np.zeros_like(np.atleast_2d(x)),
-        grad_y=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
-        grad_z=lambda t, x, y, z: np.zeros_like(np.atleast_2d(z)),
+        grad=lambda t, x, y, z: (np.zeros_like(np.atleast_2d(x)),
+                                 np.zeros_like(np.asarray(y, dtype=float)),
+                                 np.zeros_like(np.atleast_2d(z))),
     )
 
 
@@ -249,20 +247,14 @@ def _driver_linear(a: float = -1.0, c: float = 0.0):
     def g(t, x, y, z, _a=float(a), _c=float(c)):
         return _a * np.asarray(y, dtype=float) + _c * np.atleast_2d(z)[:, 0]
 
-    def gx(t, x, y, z):
-        return np.zeros_like(np.atleast_2d(x))
-
-    def gy(t, x, y, z, _a=float(a)):
-        return np.full_like(np.asarray(y, dtype=float), _a)
-
-    def gz(t, x, y, z, _c=float(c)):
-        out = np.zeros_like(np.atleast_2d(z))
-        out[:, 0] = _c
-        return out
+    def grad(t, x, y, z, _a=float(a), _c=float(c)):
+        gz = np.zeros_like(np.atleast_2d(z))
+        gz[:, 0] = _c
+        return (np.zeros_like(np.atleast_2d(x)),
+                np.full_like(np.asarray(y, dtype=float), _a), gz)
 
     return DriverSpec(g=g, lambda0=0.0, lambda_y=abs(float(a)),
-                      lambda_z=abs(float(c)), name="linear",
-                      grad_x=gx, grad_y=gy, grad_z=gz)
+                      lambda_z=abs(float(c)), name="linear", grad=grad)
 
 
 def _driver_colehopf(gamma: float = 1.0):
@@ -275,24 +267,19 @@ def _driver_colehopf(gamma: float = 1.0):
         z = np.atleast_2d(z)
         return _h * np.einsum("md,md->m", z, z)
 
-    def gx(t, x, y, z):
-        return np.zeros_like(np.atleast_2d(x))
-
-    def gy(t, x, y, z):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-    def gz(t, x, y, z, _g=float(gamma)):
-        return _g * np.atleast_2d(z)
+    def grad(t, x, y, z, _g=float(gamma)):
+        return (np.zeros_like(np.atleast_2d(x)),
+                np.zeros_like(np.asarray(y, dtype=float)),
+                _g * np.atleast_2d(z))
 
     return DriverSpec(g=g, lambda0=0.0, lambda_y=0.0, lambda_z=1.0,
-                      f=_f_constant(half), name="colehopf",
-                      grad_x=gx, grad_y=gy, grad_z=gz)
+                      f=_f_constant(half), name="colehopf", grad=grad)
 
 
 def _driver_f_power(q: float = 1.0, scale: float = 1.0):
     """Value-modulated quadratic ``g = scale * |y|**q * |z|^2``.
 
-    The growth profile is ``f(u) = scale * u**q``; analytic gradients are
+    The growth profile is ``f(u) = scale * u**q``; the analytic gradient is
     registered for ``q >= 1`` only (below that the ``y``-derivative blows
     up at 0 and the finite-difference fallback is the honest choice).
     """
@@ -306,29 +293,19 @@ def _driver_f_power(q: float = 1.0, scale: float = 1.0):
         ay = np.abs(np.asarray(y, dtype=float))
         return scale * ay ** q * np.einsum("md,md->m", z, z)
 
-    grads = {}
-    if q >= 1.0:
-        def gx(t, x, y, z):
-            return np.zeros_like(np.atleast_2d(x))
-
-        def gy(t, x, y, z):
-            y = np.asarray(y, dtype=float)
-            z = np.atleast_2d(z)
-            zz = np.einsum("md,md->m", z, z)
-            return scale * q * np.abs(y) ** (q - 1.0) * np.sign(y) * zz
-
-        def gz(t, x, y, z):
-            y = np.asarray(y, dtype=float)
-            z = np.atleast_2d(z)
-            return 2.0 * scale * (np.abs(y) ** q)[:, None] * z
-
-        grads = {"grad_x": gx, "grad_y": gy, "grad_z": gz}
+    def grad(t, x, y, z):
+        y = np.asarray(y, dtype=float)
+        z = np.atleast_2d(z)
+        zz = np.einsum("md,md->m", z, z)
+        return (np.zeros_like(np.atleast_2d(x)),
+                scale * q * np.abs(y) ** (q - 1.0) * np.sign(y) * zz,
+                2.0 * scale * (np.abs(y) ** q)[:, None] * z)
 
     def f(u):
         return scale * np.asarray(u, dtype=float) ** q
 
     return DriverSpec(g=g, lambda0=0.0, lambda_y=0.0, lambda_z=1.0,
-                      f=f, name="f_power", **grads)
+                      f=f, name="f_power", grad=grad if q >= 1.0 else None)
 
 
 def _driver_general_assumption2(lambda0: float = 0.1, lambda_y: float = 0.25,
@@ -351,14 +328,8 @@ def _driver_general_assumption2(lambda0: float = 0.1, lambda_y: float = 0.25,
     purpose — :func:`~qfbsde.core.validate_driver` flags it through the
     Lipschitz family, which is a useful negative control for the audit.
     """
-    if f not in GROWTH_PROFILES:
-        raise ValidationError(f"unknown growth profile {f!r}")
-    if f == "power":
-        prof = _f_power(q)
-    elif f == "constant":
-        prof = _f_constant(c)
-    else:
-        prof = GROWTH_PROFILES[f]()
+    prof = make_growth_profile(
+        f, {"power": {"q": q}, "constant": {"c": c}}.get(f, {}))
     l0, ly, lz = float(lambda0), float(lambda_y), float(lambda_z)
 
     def g(t, x, y, z):

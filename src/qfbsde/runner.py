@@ -151,7 +151,9 @@ def _kind_convergence(config):
         ens = simulate(problem, grid, rc.n_paths, rc.seed)
         sol = lsmc_solve(problem, ens, basis, trunc, rc)
         y0s.append(sol.y0)
-        ses.append(float(sol.y[:, 0].std(ddof=1))
+        # y[:, 0] is one value shared by every path; the first interior
+        # node carries the sampling spread
+        ses.append(float(sol.y[:, 1].std(ddof=1))
                    / math.sqrt(sol.n_paths))
 
     if config.experiment.get("reference", "finest") == "oracle":
@@ -331,8 +333,7 @@ def _kind_stability(config):
                 return np.clip(np.asarray(_g(t, x, y, z), dtype=float),
                                -_c, _c)
             capped = replace(base_driver, g=g_cap,
-                             name=f"{base_driver.name}#cap{cap:g}",
-                             grad_x=None, grad_y=None, grad_z=None)
+                             name=f"{base_driver.name}#cap{cap:g}", grad=None)
             ladder.append((None, capped))
 
     result = stability_experiment(problem, ladder, ensemble, basis, rc,

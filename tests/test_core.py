@@ -208,10 +208,45 @@ def test_truncated_driver_chains_gradients():
     x = np.zeros((3, 1))
     y = np.zeros(3)
     z = np.array([[1.0], [2.5], [40.0]])
-    gz = tn.grad_z(0.0, x, y, z)
+    gz = tn.grad(0.0, x, y, z)[2]
     # inside: d/dz (z^2/2) = z; far outside: derivative of the cap is 0
     assert math.isclose(gz[0, 0], 1.0)
     assert gz[2, 0] == 0.0
+
+
+@pytest.mark.parametrize("driver, params", [
+    ("colehopf", {}),
+    ("linear", {"a": -0.7, "c": 0.4}),
+    ("f_power", {"q": 2.0}),
+    ("zero", {}),
+], ids=["colehopf", "linear", "f_power", "zero"])
+def test_truncated_gradient_is_the_chain_rule(driver, params):
+    spec = make_driver(driver, params)
+    level = 2
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 2))
+    y = 3.0 * rng.standard_normal(40)
+    z = 3.0 * rng.standard_normal((40, 2))
+    gx, gy, gz = spec.grad(0.3, x, rho_truncate(y, level),
+                           rho_truncate(z, level))
+    tx, ty, tz = spec.truncated(level).grad(0.3, x, y, z)
+    assert np.array_equal(tx, gx)
+    assert np.array_equal(ty, gy * rho_truncate_deriv(y, level))
+    assert np.array_equal(tz, gz * rho_truncate_deriv(z, level))
+    assert ty.shape == (40,) and tx.shape == tz.shape == (40, 2)
+
+
+def test_truncated_driver_without_gradient_stays_without():
+    spec = make_driver("f_power", {"q": 0.5})
+    assert spec.grad is None and spec.truncated(3).grad is None
+
+
+def test_general_driver_takes_its_profile_from_the_registry():
+    with pytest.raises(ValidationError,
+                       match="known: constant, log1p, power, zero"):
+        make_driver("general_assumption2", {"f": "cubic"})
+    spec = make_driver("general_assumption2", {"f": "power", "q": 2.0})
+    assert spec.f(np.array([3.0]))[0] == 9.0
 
 
 def test_untruncated_sentinel_is_identity():

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qfbsde import derivatives
+from qfbsde import core, derivatives
 from qfbsde import (
     DerivativeSolution,
     DriverSpec,
@@ -189,7 +189,7 @@ def test_central_difference_fallbacks_match_analytic_gradients(driver,
     rng = np.random.default_rng(4)
     x, z = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
     y = rng.standard_normal(50)
-    bare = replace(drv, grad_x=None, grad_y=None, grad_z=None)
+    bare = replace(drv, grad=None)
     for fd, exact in zip(derivatives._driver_gradients(bare, 0.5, x, y, z),
                          derivatives._driver_gradients(drv, 0.5, x, y, z)):
         assert fd.shape == exact.shape
@@ -199,6 +199,23 @@ def test_central_difference_fallbacks_match_analytic_gradients(driver,
     sech2 = np.zeros_like(x)
     sech2[:, 0] = 1.0 / np.cosh(x[:, 0]) ** 2
     assert np.abs(fd - sech2).max() < 1e-6
+
+
+def test_driver_gradients_truncate_y_and_z_once(monkeypatch):
+    calls = []
+    rho = core.rho_truncate
+
+    def counting_rho(x, n):
+        calls.append(n)
+        return rho(x, n)
+
+    monkeypatch.setattr(core, "rho_truncate", counting_rho)
+    drv = build_problem(dim=2, driver="colehopf").driver.truncated(3)
+    rng = np.random.default_rng(5)
+    x, z = rng.standard_normal((20, 2)), 4.0 * rng.standard_normal((20, 2))
+    y = rng.standard_normal(20)
+    derivatives._driver_gradients(drv, 0.5, x, y, z)
+    assert calls == [3, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,10 @@ def test_continuity_diagnostic_rejects_degenerate_pairs():
     with pytest.raises(ValidationError):
         continuity_diagnostic(prob, [(0.3, 0.3, np.zeros(1), np.zeros(1))],
                               n_steps=8, n_paths=50, seed=1)
+    # distinct times that snap to one node (19 of 64) are degenerate too
+    with pytest.raises(ValidationError, match="node 19"):
+        continuity_diagnostic(prob, [(0.30, 0.301, [0.5], [0.5])],
+                              n_steps=64, n_paths=50, seed=1)
     with pytest.raises(ValidationError):
         continuity_diagnostic(prob, [], n_steps=8, n_paths=50, seed=1)
     with pytest.raises(ValidationError):

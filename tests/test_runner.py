@@ -229,6 +229,25 @@ grid_list = [4, 8, 16]
     assert len(rows) == 3
 
 
+def test_convergence_kind_stderrs_measure_path_spread(tmp_path):
+    # Y_0 is one value on every path, so a spread taken there is round-off
+    code, out, report = run_text("""
+[problem]
+terminal = "tanh"
+[numerics]
+paths = 2000
+seed = 2
+[experiment]
+kind = "convergence"
+grid_list = [4, 8, 16]
+""", tmp_path)
+    assert code == EXIT_PASS
+    assert len(report["stderrs"]) == 2
+    assert all(se > 1e-4 for se in report["stderrs"])
+    rows = (out / "plot.csv").read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[2]) for r in rows] == report["stderrs"]
+
+
 def test_truncation_kind(tmp_path):
     code, _, report = run_text("""
 [numerics]
