@@ -19,132 +19,22 @@ if _threads:
 
 __version__ = "0.1.0"
 
-from .core import (  # noqa: E402
-    DriverAudit,
-    DriverSpec,
-    EnvelopeTable,
-    FBSDEProblem,
-    QfbsdeError,
-    RunConfig,
-    TimeGrid,
-    TransformTables,
-    UNTRUNCATED,
-    ValidationError,
-    increasing_envelope,
-    rho_truncate,
-    rho_truncate_deriv,
-    transform_residual,
-    transform_tables,
-    upsilon1,
-    upsilon2,
-    validate_driver,
-)
-from .forward import (  # noqa: E402
-    ContinuityReport,
-    DriftEvaluationError,
-    FlowFields,
-    MollifiedDrift,
-    PathEnsemble,
-    ZvonkinTransform,
-    continuity_diagnostic,
-    euler_maruyama,
-    malliavin_forward,
-    mollify_drift,
-    sample_brownian,
-    simulate,
-    validate_ensemble,
-    variational_flow,
-    zvonkin_transform_1d,
-)
-from .backward import (  # noqa: E402
-    BackwardSolution,
-    BoundsReport,
-    NOT_FOUND,
-    PicardDivergenceError,
-    RegressionBasis,
-    apriori_check,
-    estimate_bmo,
-    lsmc_solve,
-    regress_conditional,
-    stabilization_level,
-)
-from .oracles import (  # noqa: E402
-    DominationMap,
-    OracleResult,
-    domination_map,
-    domination_oracle,
-    gauss_hermite,
-    linear_oracle,
-    nested_mc_ce,
-)
-from .derivatives import (  # noqa: E402
-    DerivativeSolution,
-    FdGradient,
-    RepresentationReport,
-    fd_gradient,
-    representation_check,
-    solve_gradient_bsde,
-    solve_malliavin_bsde,
-)
-from .analysis import (  # noqa: E402
-    ConvergenceReport,
-    path_regularity_stat,
-    rate_fit,
-    stability_experiment,
-    truncation_error_curve,
-    y_increment_stat,
-    zhang_zbar,
-)
-from .registry import (  # noqa: E402
-    build_problem,
-    describe_registry,
-    make_drift,
-    make_driver,
-    make_growth_profile,
-    make_terminal,
-)
-from .config import (  # noqa: E402
-    ConfigError,
-    Diagnostic,
-    ExperimentConfig,
-    emit_config,
-    parse_config,
-)
-from .runner import run  # noqa: E402
+from . import (core, forward, backward, oracles,  # noqa: E402
+               derivatives, analysis, registry, config, runner)
+from .core import *  # noqa: E402,F401,F403
+from .forward import *  # noqa: E402,F401,F403
+from .backward import *  # noqa: E402,F401,F403
+from .oracles import *  # noqa: E402,F401,F403
+from .derivatives import *  # noqa: E402,F401,F403
+from .analysis import *  # noqa: E402,F401,F403
+from .registry import *  # noqa: E402,F401,F403
+from .config import *  # noqa: E402,F401,F403
+from .runner import *  # noqa: E402,F401,F403
 
-__all__ = [
-    "__version__",
-    # core
-    "DriverAudit", "DriverSpec", "EnvelopeTable", "FBSDEProblem",
-    "QfbsdeError", "RunConfig", "TimeGrid", "TransformTables",
-    "UNTRUNCATED", "ValidationError", "increasing_envelope",
-    "rho_truncate", "rho_truncate_deriv",
-    "transform_residual", "transform_tables", "upsilon1", "upsilon2",
-    "validate_driver",
-    # forward
-    "ContinuityReport",
-    "DriftEvaluationError", "FlowFields", "MollifiedDrift", "PathEnsemble",
-    "ZvonkinTransform", "continuity_diagnostic", "euler_maruyama",
-    "malliavin_forward", "mollify_drift", "sample_brownian", "simulate",
-    "validate_ensemble", "variational_flow", "zvonkin_transform_1d",
-    # backward
-    "BackwardSolution", "BoundsReport", "NOT_FOUND",
-    "PicardDivergenceError", "RegressionBasis", "apriori_check",
-    "estimate_bmo", "lsmc_solve", "regress_conditional",
-    "stabilization_level",
-    # oracles
-    "DominationMap", "OracleResult", "domination_map",
-    "domination_oracle", "gauss_hermite", "linear_oracle", "nested_mc_ce",
-    # derivatives
-    "DerivativeSolution", "FdGradient", "RepresentationReport",
-    "fd_gradient", "representation_check", "solve_gradient_bsde",
-    "solve_malliavin_bsde",
-    # analysis
-    "ConvergenceReport", "path_regularity_stat", "rate_fit",
-    "stability_experiment", "truncation_error_curve", "y_increment_stat",
-    "zhang_zbar",
-    # registry / config / runner
-    "build_problem", "describe_registry", "make_drift", "make_driver",
-    "make_growth_profile", "make_terminal", "ConfigError", "Diagnostic",
-    "ExperimentConfig", "emit_config", "parse_config", "run",
+# each module's ``__all__`` is the one list of what it exports
+__all__ = ["__version__"] + [
+    name
+    for module in (core, forward, backward, oracles, derivatives, analysis,
+                   registry, config, runner)
+    for name in module.__all__
 ]

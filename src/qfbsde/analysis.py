@@ -48,7 +48,6 @@ __all__ = [
     "rate_fit",
     "stability_experiment",
     "truncation_error_curve",
-    "y_increment_stat",
     "zhang_zbar",
 ]
 
@@ -90,18 +89,6 @@ class ConvergenceReport:
         object.__setattr__(self, "abscissae", a)
         object.__setattr__(self, "errors", e)
         object.__setattr__(self, "stderrs", s)
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "abscissae": self.abscissae.tolist(),
-            "errors": self.errors.tolist(),
-            "stderrs": self.stderrs.tolist(),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            **{k: v for k, v in self.metadata.items()},
-        }
 
 
 def rate_fit(abscissae, errors) -> tuple[float, float, float]:
@@ -209,44 +196,6 @@ def path_regularity_stat(
     return value, stderr
 
 
-def y_increment_stat(
-    base: BackwardSolution,
-    p: float = 2.0,
-    lags: Sequence[float] = (),
-) -> list[dict]:
-    """Increment modulus of the value process per lag window.
-
-    For each lag the estimator averages, over all window positions and
-    paths, ``sup_{s <= r <= s+lag} |Y_r - Y_s|^p``, and reports the ratio to
-    ``lag^{p/2}`` — flat ratios across lags are the half-order modulus.
-    """
-    if p < 2.0:
-        raise ValidationError("p must be at least 2")
-    deltas = base.grid.deltas
-    mesh = float(deltas.max())
-    if np.abs(deltas - deltas[0]).max() > 1e-12 * mesh:
-        raise ValidationError("increment statistics expect a uniform grid")
-    dt = float(deltas[0])
-    y = base.y
-    n = y.shape[1] - 1
-    rows = []
-    for lag in lags:
-        w = int(round(lag / dt))
-        if w < 1 or w > n:
-            raise ValidationError(f"lag {lag} does not fit the grid")
-        sup_p = np.zeros((y.shape[0], n - w + 1))
-        for off in range(1, w + 1):
-            gap = np.abs(y[:, off:off + n - w + 1] - y[:, : n - w + 1])
-            np.maximum(sup_p, gap, out=sup_p)
-        val = float((sup_p ** p).mean())
-        rows.append({
-            "lag": float(w * dt),
-            "value": val,
-            "ratio": val / (w * dt) ** (0.5 * p),
-        })
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Truncation error curves
 # ---------------------------------------------------------------------------
@@ -316,11 +265,9 @@ def truncation_error_curve(
     errors, stderrs, z_errors, z_stderrs = [], [], [], []
     for n in levels:
         sol = _solve_cached(cache, problem, ensemble, basis, n, config)
-        sq = (sol.y - ref_y) ** 2
-        node_means = sq.mean(axis=0)
-        i_star = int(node_means.argmax())
-        errors.append(float(node_means[i_star]))
-        stderrs.append(float(sq[:, i_star].std(ddof=1) / math.sqrt(m)))
+        err, se = _worst_node((sol.y - ref_y) ** 2)
+        errors.append(err)
+        stderrs.append(se)
         if ref_z is not None:
             zgap = np.einsum("mjd,j->m", (sol.z - ref_z) ** 2, deltas)
             z_errors.append(float(zgap.mean()))
@@ -334,6 +281,14 @@ def truncation_error_curve(
         experiment="truncation", abscissae=np.asarray(levels, dtype=float),
         errors=np.asarray(errors), stderrs=np.asarray(stderrs),
         slope=slope, intercept=intercept, r2=r2, metadata=meta)
+
+
+def _worst_node(sq: np.ndarray) -> tuple[float, float]:
+    """Largest node mean of the ``(M, nodes)`` squared gaps, with its stderr."""
+    node_means = sq.mean(axis=0)
+    i_star = int(node_means.argmax())
+    return (float(node_means[i_star]),
+            float(sq[:, i_star].std(ddof=1) / math.sqrt(sq.shape[0])))
 
 
 def _fit_positive(abscissae, errors):
@@ -361,12 +316,15 @@ def stability_experiment(
     """Solve a ladder of perturbed data against the limit problem.
 
     Each rung is a ``(terminal, driver)`` pair (``None`` inherits the limit
-    problem's own field).  Errors are worst-case over grid nodes and paths
-    for the value process; the time-integrated control gap, the a-priori
-    right-hand side built from ``|xi_k - xi|`` and the realized driver
-    differences, and the error/bound ratios land in the metadata.  The
-    ratios are reported, not asserted — the stability estimate's constant is
-    not explicit, so a stable ratio profile is the checkable content.
+    problem's own field).  Each error is the largest node mean of the
+    squared value gap, with the standard error at that node, as in
+    :func:`truncation_error_curve`.  The time-integrated control gap, the
+    a-priori right-hand side in the same squared units (the path mean of
+    ``|xi_k - xi|^2`` plus that of the time-integrated squared driver
+    difference along the limit solution) and the error/bound ratios land
+    in the metadata.  The ratios are reported, not asserted — the stability
+    estimate's constant is not explicit, so a stable ratio profile is the
+    checkable content.
     """
     if truncation is None:
         truncation = UNTRUNCATED
@@ -384,23 +342,20 @@ def stability_experiment(
         if driver_k is not None:
             pk = replace(pk, driver=driver_k)
         sol = lsmc_solve(pk, ensemble, basis, truncation, config)
-        gap = np.abs(sol.y - limit.y)
-        errors.append(float(gap.max()))
-        node_means = (gap ** 2).mean(axis=0)
-        i_star = int(node_means.argmax())
-        stderrs.append(float(
-            (gap[:, i_star] ** 2).std(ddof=1) / math.sqrt(gap.shape[0])))
+        err, se = _worst_node((sol.y - limit.y) ** 2)
+        errors.append(err)
+        stderrs.append(se)
         zgap = np.einsum("mjd,j->m", (sol.z - limit.z) ** 2, deltas)
         z_errors.append(float(zgap.mean()))
 
         # a-priori right-hand side along the realized limit solution
         xi_k = xi if terminal_k is None else np.asarray(
             terminal_k(ensemble.paths[:, -1, :]), dtype=float)
-        term_gap = float(np.abs(xi_k - xi).max()) ** 2
+        term_gap = float(((xi_k - xi) ** 2).mean())
         if driver_k is None:
             drv_gap = 0.0
         else:
-            acc = np.zeros(gap.shape[0])
+            acc = np.zeros(ensemble.n_paths)
             for i in range(deltas.size):
                 dg = (np.asarray(driver_k.g(times[i], ensemble.paths[:, i, :],
                                             limit.y[:, i], limit.z[:, i, :]),

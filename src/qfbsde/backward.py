@@ -27,19 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DriverSpec,
     FBSDEProblem,
     QfbsdeError,
     RunConfig,
     TimeGrid,
-    UNTRUNCATED,
     ValidationError,
 )
 from .forward import PathEnsemble
 
 __all__ = [
     "RegressionBasis",
-    "regress_conditional",
     "PicardDivergenceError",
     "BackwardSolution",
     "lsmc_solve",
@@ -300,25 +297,6 @@ class _StepRegressor:
         prod = (nxt - ce)[:, :, None] * db[:, None, :]
         control = self.project(prod.reshape(m, -1)) / dt
         return ce, control.reshape(m, k, -1)
-
-
-def regress_conditional(
-    targets: np.ndarray, states: np.ndarray, basis: RegressionBasis
-) -> np.ndarray:
-    """In-sample least-squares projection of ``targets`` on ``basis``.
-
-    Fitted values are invariant under affine rescaling of the states for
-    the polynomial basis (the span is), and collapse to the exact sample
-    mean when the states carry no variation at all — that is what ties the
-    backward induction at the (deterministic) initial state to a plain
-    average.  Raises :class:`ValidationError` unless there are more paths
-    than basis functions.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    y = np.asarray(targets, dtype=float)
-    if y.shape[0] != states.shape[0]:
-        raise ValidationError("targets and states disagree on the path count")
-    return _StepRegressor(basis, states).project(y)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .core import QfbsdeError, RunConfig, TimeGrid, UNTRUNCATED
 from .backward import RegressionBasis
-from .registry import DRIFTS, DRIVERS, GROWTH_PROFILES, TERMINALS, build_problem
+from .registry import DRIFTS, DRIVERS, TERMINALS, build_problem
 
 __all__ = [
     "Diagnostic",
@@ -40,7 +40,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "emit_config",
-    "EXPERIMENT_KINDS",
 ]
 
 @dataclass(frozen=True)
@@ -520,6 +519,10 @@ def parse_config(text: str) -> ExperimentConfig:
             diags.append(Diagnostic(
                 0, "numerics.basis",
                 "piecewise_linear basis is one-dimensional only"))
+        if numerics["basis.knots"] and numerics["basis"] != "piecewise_linear":
+            diags.append(Diagnostic(
+                0, "numerics.basis.knots",
+                "knots apply to the piecewise_linear basis only"))
         x0 = problem["x0"]
         if isinstance(x0, tuple) and len(x0) != problem["dim"]:
             diags.append(Diagnostic(

@@ -10,9 +10,7 @@ This module holds everything the solvers share:
 * quadrature tables for the scalar transform that removes the quadratic
   term from a one-dimensional driver (``transform_tables``),
 * the problem/driver/grid/config dataclasses consumed by the forward and
-  backward solvers, and
-* a sample-based audit (``validate_driver``) that probes a driver against
-  the declared growth and monotonicity envelope.
+  backward solvers.
 
 Everything here is plain numpy; no randomness, no I/O.
 """
@@ -20,8 +18,8 @@ Everything here is plain numpy; no randomness, no I/O.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +29,6 @@ __all__ = [
     "UNTRUNCATED",
     "rho_truncate",
     "rho_truncate_deriv",
-    "EnvelopeTable",
-    "increasing_envelope",
     "upsilon1",
     "upsilon2",
     "TransformTables",
@@ -42,8 +38,6 @@ __all__ = [
     "DriverSpec",
     "FBSDEProblem",
     "RunConfig",
-    "DriverAudit",
-    "validate_driver",
 ]
 
 
@@ -133,43 +127,6 @@ def _check_level(n) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"truncation level must be a positive integer, got {n!r}")
     return int(n)
-
-
-# ---------------------------------------------------------------------------
-# Increasing envelope of a locally bounded function
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnvelopeTable:
-    """Piecewise-linear nondecreasing envelope of a scalar function.
-
-    ``xs`` is the (sorted, nonnegative) probe grid and ``values`` the running
-    maximum of the function over it.  Calling the table interpolates
-    linearly inside the grid and clamps to the edge values outside.
-    """
-
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.values)
-
-
-def increasing_envelope(f: Callable[[np.ndarray], np.ndarray], grid) -> EnvelopeTable:
-    """Running maximum of ``f`` over a nonnegative grid.
-
-    The result is a nondecreasing dominating table for ``f`` restricted to
-    the grid: useful to turn a merely locally bounded nonlinearity into the
-    nondecreasing one that the bound formulas expect.
-    """
-    xs = np.asarray(grid, dtype=float).ravel()
-    if xs.size == 0:
-        raise ValidationError("envelope grid must be non-empty")
-    if np.any(xs < 0):
-        raise ValidationError("envelope grid must be nonnegative")
-    xs = np.unique(xs)
-    vals = np.maximum.accumulate(np.asarray(f(xs), dtype=float))
-    return EnvelopeTable(xs=xs, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +304,6 @@ class TimeGrid:
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
 
-    def refines(self, coarse: "TimeGrid") -> bool:
-        """True when every node of ``coarse`` is a node here, to within 1e-12."""
-        try:
-            _nested_indices(self, coarse)
-        except ValidationError:
-            return False
-        return True
-
 
 def _nested_indices(fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
     """Indices in ``fine`` of the nodes of ``coarse``; errors when not nested.
@@ -404,13 +353,6 @@ class DriverSpec:
                 raise ValidationError(f"{nm} must be finite and nonnegative, got {v}")
         if not 0 <= self.alpha <= 1:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-    def growth_bound(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Pointwise value of the declared growth envelope."""
-        ay = np.abs(np.asarray(y, dtype=float))
-        zn = np.linalg.norm(np.atleast_2d(z), axis=-1)
-        f_ay = np.asarray(self.f(ay), dtype=float)
-        return self.lambda0 + self.lambda_y * ay + self.lambda_z * (zn + f_ay * zn * zn)
 
     def truncated(self, n) -> "DriverSpec":
         """Driver with both arguments passed through the level-``n`` truncation.
@@ -512,88 +454,3 @@ class RunConfig:
             raise ValidationError("picard_tol must be positive")
         if self.picard_max < 1:
             raise ValidationError("picard_max must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# Driver audit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DriverAudit:
-    """Outcome of probing a driver against its declared envelope."""
-
-    n_probes: int
-    growth_violations: list
-    lipschitz_violations: list
-    monotonicity_violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not (self.growth_violations or self.lipschitz_violations
-                    or self.monotonicity_violations)
-
-
-def validate_driver(
-    spec: DriverSpec,
-    probes: Sequence,
-    *,
-    rtol: float = 1e-9,
-) -> DriverAudit:
-    """Probe ``g`` at sample points against the declared growth envelope.
-
-    ``probes`` is a sequence of ``(t, x, y, z)`` tuples with ``x, z`` of
-    length ``dim`` and scalar ``y``.  Three families of checks run on them:
-
-    * growth: ``|g| <= lambda0 + lambda_y|y| + lambda_z(|z| + f(|y|)|z|^2)``,
-    * a sampled stochastic-Lipschitz modulus in ``(y, z)`` over all probe
-      pairs sharing the same ``(t, x)``,
-    * monotonicity of ``f`` along the probed ``|y|`` values.
-
-    This is a falsification device, not a proof: passing means no probed
-    point contradicted the declaration.
-    """
-    probes = list(probes)
-    if not probes:
-        raise ValidationError("at least one probe is required")
-    growth_bad, lip_bad, mono_bad = [], [], []
-
-    vals = {}
-    for idx, (t, x, y, z) in enumerate(probes):
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        z = np.asarray(z, dtype=float).reshape(1, -1)
-        yv = np.asarray([float(y)])
-        gval = float(np.asarray(spec.g(float(t), x, yv, z)).reshape(-1)[0])
-        bound = float(spec.growth_bound(yv, z)[0])
-        vals[idx] = (float(t), x, float(y), z, gval)
-        if abs(gval) > bound * (1.0 + rtol) + rtol:
-            growth_bad.append({"probe": idx, "g": gval, "bound": bound})
-
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            t1, x1, y1, z1, g1 = vals[i]
-            t2, x2, y2, z2, g2 = vals[j]
-            if t1 != t2 or not np.array_equal(x1, x2):
-                continue
-            zn1, zn2 = np.linalg.norm(z1), np.linalg.norm(z2)
-            f1 = float(np.asarray(spec.f(np.asarray([abs(y1)])))[0])
-            f2 = float(np.asarray(spec.f(np.asarray([abs(y2)])))[0])
-            rhs = (
-                spec.lambda_y * (1.0 + zn1 ** spec.alpha + zn2 ** spec.alpha) * abs(y1 - y2)
-                + spec.lambda_z * (1.0 + (f1 + f2) * (zn1 + zn2)) * np.linalg.norm(z1 - z2)
-            )
-            if abs(g1 - g2) > rhs * (1.0 + rtol) + rtol:
-                lip_bad.append({"pair": (i, j), "diff": abs(g1 - g2), "bound": float(rhs)})
-
-    ys = sorted({abs(v[2]) for v in vals.values()})
-    f_on_ys = np.asarray(spec.f(np.asarray(ys, dtype=float)), dtype=float)
-    for k in range(1, len(ys)):
-        if f_on_ys[k] < f_on_ys[k - 1] - rtol:
-            mono_bad.append({"at": (ys[k - 1], ys[k]),
-                             "f": (float(f_on_ys[k - 1]), float(f_on_ys[k]))})
-
-    return DriverAudit(
-        n_probes=len(probes),
-        growth_violations=growth_bad,
-        lipschitz_violations=lip_bad,
-        monotonicity_violations=mono_bad,
-    )

@@ -19,11 +19,11 @@ import numpy as np
 from .core import FBSDEProblem, QfbsdeError, TimeGrid, ValidationError
 
 __all__ = [
+    "DriftEvaluationError",
     "PathEnsemble",
     "sample_brownian",
     "euler_maruyama",
     "simulate",
-    "validate_ensemble",
     "MollifiedDrift",
     "mollify_drift",
     "FlowFields",
@@ -38,7 +38,6 @@ __all__ = [
 _BLOCK = 4096
 _NODE_AVERAGE_POINTS = 1 << 20  # shifted points per block of _node_average
 _SCHEME = f"philox4x64-block{_BLOCK}"
-_ENSEMBLE_N_SIGMA = 6.0  # validate_ensemble's acceptance band, in sigmas
 _MASK64 = (1 << 64) - 1
 
 
@@ -142,30 +141,6 @@ def simulate(
     """Sample increments and run Euler–Maruyama in one deterministic call."""
     inc = sample_brownian(grid, n_paths, problem.dim, seed)
     return euler_maruyama(problem, grid, inc, seed=int(seed))
-
-
-def validate_ensemble(ensemble: PathEnsemble) -> dict:
-    """Moment audit of the increments: mean and variance per (step, coord).
-
-    Sample means should sit within ``n_sigma * sqrt(dt/M)`` of zero and
-    sample variances within the matching normal-approximation band of
-    ``dt``, with ``n_sigma = 6``.  Returns a report dict with the worst
-    standardized deviations and that ``n_sigma``.
-    """
-    inc = ensemble.increments
-    m = inc.shape[0]
-    dt = ensemble.grid.deltas[None, :, None]
-    mean_dev = np.abs(inc.mean(axis=0, keepdims=True)) / np.sqrt(dt / m)
-    var = inc.var(axis=0, ddof=1, keepdims=True)
-    var_dev = np.abs(var - dt) / (dt * math.sqrt(2.0 / max(m - 1, 1)))
-    report = {
-        "worst_mean_sigma": float(mean_dev.max()),
-        "worst_var_sigma": float(var_dev.max()),
-        "n_sigma": _ENSEMBLE_N_SIGMA,
-        "passed": bool(mean_dev.max() <= _ENSEMBLE_N_SIGMA
-                       and var_dev.max() <= _ENSEMBLE_N_SIGMA),
-    }
-    return report
 
 
 # ---------------------------------------------------------------------------

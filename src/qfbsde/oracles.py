@@ -34,24 +34,11 @@ __all__ = [
     "OracleResult",
     "domination_map",
     "domination_oracle",
-    "gauss_hermite",
     "linear_oracle",
     "nested_mc_ce",
 ]
 
 _DOMINATION_POINTS = 20001  # odd, so the symmetric table grid contains 0
-
-
-def gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for expectations against a standard normal.
-
-    The 1-d view of the tensor rule that :func:`~qfbsde.forward.mollify_drift`
-    and the zero-drift oracle use: ``sum(w * g(nodes))`` approximates
-    ``E[g(G)]`` with ``G ~ N(0, 1)``, and the weights are normalized to sum
-    to one, which keeps constants integrated without quadrature error.
-    """
-    nodes, weights = _gauss_hermite_rule(points, 1)
-    return nodes[:, 0], weights
 
 
 # ---------------------------------------------------------------------------

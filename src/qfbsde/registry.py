@@ -24,10 +24,6 @@ from .core import DriverSpec, FBSDEProblem, ValidationError
 from .forward import mollify_drift
 
 __all__ = [
-    "DRIFTS",
-    "TERMINALS",
-    "DRIVERS",
-    "GROWTH_PROFILES",
     "make_drift",
     "make_terminal",
     "make_driver",
@@ -325,8 +321,8 @@ def _driver_general_assumption2(lambda0: float = 0.1, lambda_y: float = 0.25,
     modulus ``lambda_y*(1+|z|^alpha)`` with ``alpha < 1`` cannot
     dominate, so such a driver does not belong to the class it declares.
     Selecting ``f="power"`` builds exactly that kind of impostor on
-    purpose — :func:`~qfbsde.core.validate_driver` flags it through the
-    Lipschitz family, which is a useful negative control for the audit.
+    purpose: its y-sensitivity breaks the declared Lipschitz modulus, which
+    makes it a negative control for any audit of the declared class.
     """
     prof = make_growth_profile(
         f, {"power": {"q": q}, "constant": {"c": c}}.get(f, {}))

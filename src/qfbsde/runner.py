@@ -28,8 +28,8 @@ from .forward import simulate, variational_flow
 from .backward import apriori_check, estimate_bmo, lsmc_solve
 from .oracles import domination_oracle, linear_oracle
 from .analysis import (
+    _fit_positive,
     path_regularity_stat,
-    rate_fit,
     truncation_error_curve,
     stability_experiment,
 )
@@ -44,7 +44,7 @@ from .config import ExperimentConfig, emit_config
 from .registry import DRIVERS, _defaults
 from . import storage
 
-__all__ = ["run", "EXIT_PASS", "EXIT_ERROR", "EXIT_THRESHOLD"]
+__all__ = ["run"]
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -57,15 +57,6 @@ EXIT_THRESHOLD = 2
 # `artifacts` maps logical names to objects the writer knows how to store:
 # "ensemble" -> PathEnsemble, "solution" -> BackwardSolution,
 # "fields" -> (grid, seed, {name: array}).
-
-
-def _safe_rate_fit(xs, errs):
-    """Log-log fit, or nans when the curve has too few positive points."""
-    try:
-        return rate_fit(np.asarray(xs, dtype=float),
-                        np.asarray(errs, dtype=float))
-    except QfbsdeError:
-        return float("nan"), float("nan"), float("nan")
 
 
 def _solve_common(config: ExperimentConfig):
@@ -165,7 +156,7 @@ def _kind_convergence(config):
         xs = grid_list[:-1]
         errs = [abs(v - ref) for v in y0s[:-1]]
         errses = ses[:-1]
-    slope, intercept, r2 = _safe_rate_fit(xs, errs)
+    slope, intercept, r2 = _fit_positive(xs, errs)
     max_err = config.experiment["max_error"]
     passed = True if max_err == 0.0 else bool(max(errs) <= max_err)
     report = {
@@ -207,7 +198,7 @@ def _kind_regularity(config):
         left_ses.append(se)
         zbar_stats.append(zval)
 
-    slope, intercept, r2 = _safe_rate_fit(meshes[::-1], left_stats[::-1])
+    slope, intercept, r2 = _fit_positive(meshes[::-1], left_stats[::-1])
     lo, hi = exp["slope_range"]
     projection_ok = all(zb <= lf for zb, lf in zip(zbar_stats, left_stats))
     passed = bool(lo <= slope <= hi and r2 >= exp["r2_min"] and projection_ok)

@@ -19,7 +19,6 @@ from qfbsde import (
     simulate,
     stability_experiment,
     truncation_error_curve,
-    y_increment_stat,
     zhang_zbar,
 )
 
@@ -45,7 +44,6 @@ def test_convergence_report_validation():
     s = np.zeros(3)
     rep = ConvergenceReport(experiment="x", abscissae=a, errors=e, stderrs=s,
                             slope=-2.0, intercept=0.0, r2=1.0)
-    assert rep.as_dict()["experiment"] == "x"
     with pytest.raises(ValidationError):
         ConvergenceReport(experiment="x", abscissae=a[::-1], errors=e,
                           stderrs=s, slope=0.0, intercept=0.0, r2=0.0)
@@ -130,22 +128,6 @@ def test_regularity_stat_validation(fine_solution):
         path_regularity_stat(sol, TimeGrid.uniform(1.0, 7), ensemble=ens)
 
 
-def test_y_increment_ratios(fine_solution):
-    prob, ens, sol = fine_solution
-    rows = y_increment_stat(sol, 2.0, lags=[1 / 32, 2 / 32, 4 / 32])
-    assert [r["lag"] for r in rows] == [1 / 32, 2 / 32, 4 / 32]
-    ratios = [r["ratio"] for r in rows]
-    assert all(r > 0 for r in ratios)
-    # half-order modulus: the ratio stays within a factor 2 across lags
-    assert max(ratios) / min(ratios) < 2.0
-    with pytest.raises(ValidationError):
-        y_increment_stat(sol, 2.0, lags=[1 / 64])
-    with pytest.raises(ValidationError):
-        y_increment_stat(sol, 2.0, lags=[2.0])
-    with pytest.raises(ValidationError):
-        y_increment_stat(sol, 1.5, lags=[1 / 32])
-
-
 # ---------------------------------------------------------------------------
 # Truncation error curve
 # ---------------------------------------------------------------------------
@@ -206,7 +188,8 @@ def test_truncation_curve_validation(quad_problem, poly_basis, small_ensemble,
 def test_stability_exact_law_for_flat_data():
     # degree-0 basis + flat terminal + zero driver: every solve collapses to
     # the exact mean, so scaling the terminal by 1/k (k a power of two)
-    # leaves errors of exactly 1 - 1/k
+    # leaves squared errors of exactly (1 - 1/k)^2 — and the exact law
+    # dY = d(xi) makes each error equal its a-priori right-hand side
     flat = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
                          drift="zero", terminal="constant", driver="zero")
     deg0 = RegressionBasis(kind="polynomial", degree=0)
@@ -218,8 +201,9 @@ def test_stability_exact_law_for_flat_data():
         for k in (2.0, 4.0, 8.0)
     ]
     rep = stability_experiment(flat, ladder, ens, deg0, rc)
-    assert np.array_equal(rep.errors, np.array([0.5, 0.75, 0.875]))
+    assert np.array_equal(rep.errors, np.array([0.25, 0.5625, 0.765625]))
     assert rep.metadata["apriori_rhs"] == [0.25, 0.5625, 0.765625]
+    assert rep.metadata["error_to_rhs"] == [1.0, 1.0, 1.0]
 
 
 def test_stability_driver_cap_ladder(quad_problem, poly_basis):

@@ -22,7 +22,6 @@ from qfbsde import (
     estimate_bmo,
     lsmc_solve,
     make_driver,
-    regress_conditional,
     simulate,
     stabilization_level,
 )
@@ -139,15 +138,15 @@ def test_regression_preserves_sample_mean():
     targets = np.sin(states[:, 0]) + 0.2 * rng.normal(size=500)
     for basis in (RegressionBasis(kind="polynomial", degree=4),
                   RegressionBasis(kind="piecewise_linear", bins=8)):
-        fitted = regress_conditional(targets, states, basis)
+        fitted = backward._StepRegressor(basis, states).project(targets)
         assert abs(fitted.mean() - targets.mean()) < 1e-10
 
 
 def test_regression_collapses_to_mean_on_constant_states():
     states = np.full((100, 1), 0.7)
     targets = np.arange(100.0)
-    fitted = regress_conditional(
-        targets, states, RegressionBasis(kind="polynomial", degree=4))
+    basis = RegressionBasis(kind="polynomial", degree=4)
+    fitted = backward._StepRegressor(basis, states).project(targets)
     assert np.allclose(fitted, targets.mean(), atol=1e-12)
 
 
@@ -208,7 +207,7 @@ def test_singular_gram_falls_back_to_lstsq_and_is_counted(quad_problem,
 def test_regression_requires_enough_paths():
     basis = RegressionBasis(kind="polynomial", degree=4)
     with pytest.raises(ValidationError):
-        regress_conditional(np.zeros(4), np.zeros((4, 1)), basis)
+        backward._StepRegressor(basis, np.zeros((4, 1)))
 
 
 # ---------------------------------------------------------------------------

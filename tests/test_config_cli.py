@@ -243,6 +243,10 @@ def test_cross_field_checks():
                      '[numerics]\nbasis = "piecewise_linear"\n')
     assert "one-dimensional only" in reasons(exc)[0]
     with pytest.raises(ConfigError) as exc:
+        parse_config("[numerics]\nbasis.knots = [-1.0, 0.0, 1.0]\n")
+    assert exc.value.diagnostics[0].key == "numerics.basis.knots"
+    assert "piecewise_linear basis only" in reasons(exc)[0]
+    with pytest.raises(ConfigError) as exc:
         parse_config("[problem]\ndim = 2\nx0 = [0.0, 0.0, 0.0]\n")
     assert "3 entries but dim = 2" in reasons(exc)[0]
     with pytest.raises(ConfigError) as exc:

@@ -13,15 +13,14 @@ from qfbsde import (
     TimeGrid,
     UNTRUNCATED,
     ValidationError,
-    increasing_envelope,
     rho_truncate,
     rho_truncate_deriv,
     transform_residual,
     transform_tables,
     upsilon1,
     upsilon2,
-    validate_driver,
 )
+from qfbsde.core import _nested_indices
 from qfbsde.registry import make_driver
 
 
@@ -128,15 +127,6 @@ def test_upsilon2_zero_and_variants():
         != upsilon2(1.0, 0.0, 0.0, 2.0, 1.0, f, use_proof_integrand=True)
 
 
-def test_increasing_envelope_dominates_and_is_monotone():
-    f = lambda u: np.sin(3 * u) + 1.0  # noqa: E731
-    grid = np.linspace(0.0, 5.0, 2001)
-    env = increasing_envelope(f, grid)
-    vals = env(grid)
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert np.all(vals >= f(grid) - 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Scalar transform
 # ---------------------------------------------------------------------------
@@ -165,8 +155,9 @@ def test_transform_tables_rejects_negative_f1():
 def test_time_grid_uniform_and_refinement():
     coarse = TimeGrid.uniform(1.0, 8)
     fine = TimeGrid.uniform(1.0, 32)
-    assert fine.refines(coarse)
-    assert not coarse.refines(fine)
+    assert np.array_equal(_nested_indices(fine, coarse), np.arange(0, 33, 4))
+    with pytest.raises(ValidationError):
+        _nested_indices(coarse, fine)
     assert math.isclose(fine.mesh, 1.0 / 32)
     assert coarse.n_steps == 8
 
@@ -254,27 +245,6 @@ def test_untruncated_sentinel_is_identity():
     assert spec.truncated(UNTRUNCATED) is spec
 
 
-def test_validate_driver_passes_honest_and_flags_dishonest():
-    rng = np.random.Generator(np.random.Philox(key=7))
-    probes = [(0.0, rng.normal(size=1), rng.normal(), rng.normal(size=1))
-              for _ in range(25)]
-    # same (t, x) pairs so the Lipschitz family actually fires
-    probes += [(0.5, np.zeros(1), y, np.array([zv]))
-               for y in (-1.0, 0.0, 2.0) for zv in (-1.5, 0.5)]
-    honest = make_driver("general_assumption2")
-    assert validate_driver(honest, probes).passed
-
-    lying = DriverSpec(
-        g=lambda t, x, y, z: 10.0 + 0.0 * np.asarray(y, dtype=float),
-        lambda0=1.0, lambda_y=0.0, lambda_z=0.0)
-    audit = validate_driver(lying, probes)
-    assert audit.growth_violations
-
-    # a y-varying quadratic coefficient escapes the declared y-modulus
-    impostor = make_driver("general_assumption2", {"f": "power"})
-    assert validate_driver(impostor, probes).lipschitz_violations
-
-
 # ---------------------------------------------------------------------------
 # Problems and run configs
 # ---------------------------------------------------------------------------
@@ -307,3 +277,36 @@ def test_run_config_validation():
         RunConfig(n_paths=1)
     with pytest.raises(ValidationError):
         RunConfig(picard_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+# ---------------------------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "BackwardSolution", "BoundsReport", "ConfigError", "ContinuityReport",
+    "ConvergenceReport", "DerivativeSolution", "Diagnostic", "DominationMap",
+    "DriftEvaluationError", "DriverSpec", "ExperimentConfig", "FBSDEProblem",
+    "FdGradient", "FlowFields", "MollifiedDrift", "NOT_FOUND", "OracleResult",
+    "PathEnsemble", "PicardDivergenceError", "QfbsdeError", "RegressionBasis",
+    "RepresentationReport", "RunConfig", "TimeGrid", "TransformTables",
+    "UNTRUNCATED", "ValidationError", "ZvonkinTransform", "__version__",
+    "apriori_check", "build_problem", "continuity_diagnostic",
+    "describe_registry", "domination_map", "domination_oracle",
+    "emit_config", "estimate_bmo", "euler_maruyama", "fd_gradient",
+    "linear_oracle", "lsmc_solve", "make_drift", "make_driver",
+    "make_growth_profile", "make_terminal", "malliavin_forward",
+    "mollify_drift", "nested_mc_ce", "parse_config", "path_regularity_stat",
+    "rate_fit", "representation_check", "rho_truncate", "rho_truncate_deriv",
+    "run", "sample_brownian", "simulate", "solve_gradient_bsde",
+    "solve_malliavin_bsde", "stability_experiment", "stabilization_level",
+    "transform_residual", "transform_tables", "truncation_error_curve",
+    "upsilon1", "upsilon2", "variational_flow", "zhang_zbar",
+    "zvonkin_transform_1d",
+]
+
+
+def test_public_surface_is_pinned_and_resolves():
+    import qfbsde
+    assert sorted(qfbsde.__all__) == PUBLIC_NAMES
+    assert all(hasattr(qfbsde, name) for name in qfbsde.__all__)
