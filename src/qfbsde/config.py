@@ -112,7 +112,9 @@ _NUMERICS_SCHEMA = {
     "picard_max": ("int", 50, lambda v: v >= 1, "must be >= 1"),
     "eps": ("float", 0.0, _nonnegative,
             "must be >= 0 (0 disables mollification)"),
-    "mollify_quad_points": ("int", 64, lambda v: v >= 2, "must be >= 2"),
+    "mollify_quad_points": ("int", 64, lambda v: v >= 2,
+                            "must be >= 2 (Gauss–Hermite nodes per axis "
+                            "for drifts without a closed-form smoothing)"),
     "truncation": ("int", 0, _nonnegative,
                    "must be >= 0 (0 means untruncated)"),
 }
@@ -513,43 +515,43 @@ def parse_config(text: str) -> ExperimentConfig:
         kind_schema.update(_EXPERIMENT_KIND_SCHEMA[kind_value])
     experiment = _apply_schema("experiment", kind_schema, exp_entries, diags)
 
+    def cross_field(full_key: str, reason: str) -> None:
+        # on the line that binds the key, or 0 when the file leaves it unset
+        section, key = full_key.split(".", 1)
+        line_no = deduped.get(section, {}).get(key, (None, 0))[1]
+        diags.append(Diagnostic(line_no, full_key, reason))
+
     # cross-field checks that need more than one block
     if not diags:
         if numerics["basis"] == "piecewise_linear" and problem["dim"] != 1:
-            diags.append(Diagnostic(
-                0, "numerics.basis",
-                "piecewise_linear basis is one-dimensional only"))
+            cross_field("numerics.basis",
+                        "piecewise_linear basis is one-dimensional only")
         if numerics["basis.knots"] and numerics["basis"] != "piecewise_linear":
-            diags.append(Diagnostic(
-                0, "numerics.basis.knots",
-                "knots apply to the piecewise_linear basis only"))
+            cross_field("numerics.basis.knots",
+                        "knots apply to the piecewise_linear basis only")
         x0 = problem["x0"]
         if isinstance(x0, tuple) and len(x0) != problem["dim"]:
-            diags.append(Diagnostic(
-                0, "problem.x0",
-                f"x0 has {len(x0)} entries but dim = {problem['dim']}"))
+            cross_field("problem.x0",
+                        f"x0 has {len(x0)} entries but dim = {problem['dim']}")
         if experiment["kind"] == "derivatives":
             bad = [a for a in experiment["anchors"]
                    if a >= numerics["grid_n"]]
             if bad:
-                diags.append(Diagnostic(
-                    0, "experiment.anchors",
-                    f"anchor {bad[0]} is outside the grid "
-                    f"(grid_n = {numerics['grid_n']})"))
+                cross_field("experiment.anchors",
+                            f"anchor {bad[0]} is outside the grid "
+                            f"(grid_n = {numerics['grid_n']})")
             _, drift_gradient, _ = DRIFTS[problem["drift"]]()
             if drift_gradient is None and numerics["eps"] == 0.0:
-                diags.append(Diagnostic(
-                    0, "numerics.eps",
-                    f"drift {problem['drift']!r} has no gradient; "
-                    "derivative solvers need eps > 0 (mollification)"))
+                cross_field("numerics.eps",
+                            f"drift {problem['drift']!r} has no gradient; "
+                            "derivative solvers need eps > 0 (mollification)")
         if experiment["kind"] == "regularity":
             bad = [m for m in experiment["meshes"]
                    if experiment["fine_n"] % m != 0]
             if bad:
-                diags.append(Diagnostic(
-                    0, "experiment.meshes",
-                    f"mesh {bad[0]} does not divide fine_n = "
-                    f"{experiment['fine_n']}"))
+                cross_field("experiment.meshes",
+                            f"mesh {bad[0]} does not divide fine_n = "
+                            f"{experiment['fine_n']}")
 
     if diags:
         raise ConfigError(sorted(diags, key=lambda d: (d.line, d.key)))

@@ -151,7 +151,9 @@ def simulate(
 class MollifiedDrift:
     """Gaussian smoothing ``b_eps(t,x) = E[b(t, x + eps*G)]``, ``G ~ N(0, I)``.
 
-    Values and Jacobians are the same Gauss–Hermite node average
+    The fallback for drifts whose smoothing has no closed form
+    (:func:`_smoothed_sign` is the closed form for ``sign``).  Values and
+    Jacobians are the same Gauss–Hermite node average
     (:func:`_node_average`) with different weights; the Jacobian uses the
     Gaussian integration-by-parts identity
 
@@ -187,10 +189,87 @@ def mollify_drift(drift: Callable, eps: float, *, dim: int = 1,
     grid grows like ``quad_points**dim``, so high dimensions should lower
     the per-axis count.
     """
+    eps = _check_eps(eps)
+    nodes, weights = _gauss_hermite_rule(quad_points, dim)
+    return MollifiedDrift(raw=drift, eps=eps, nodes=nodes, weights=weights)
+
+
+def _smoothed_sign(eps: float) -> tuple[Callable, Callable]:
+    """The exact Gaussian smoothing of componentwise ``sign`` and its Jacobian.
+
+    ``E[sign(x + eps*G)] = erf(x / (eps*sqrt(2)))`` componentwise, and the
+    Jacobian is diagonal with the Gaussian density
+    ``sqrt(2/pi)/eps * exp(-x^2 / (2 eps^2))``, the same functions the
+    quadrature of :class:`MollifiedDrift` approximates.
+    """
+    eps = _check_eps(eps)
+    scale = eps * math.sqrt(2.0)
+    peak = math.sqrt(2.0 / math.pi) / eps
+
+    def value(t, x):
+        return _erf(np.asarray(x, dtype=float) / scale)
+
+    def jacobian(t, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        # exp(-800) is 0.0; the clip keeps u*u finite
+        u = np.clip(x / eps, -40.0, 40.0)
+        density = peak * np.exp(-0.5 * u * u)
+        return density[:, :, None] * np.eye(x.shape[1])
+
+    return value, jacobian
+
+
+def _check_eps(eps: float) -> float:
     if not (eps > 0 and math.isfinite(eps)):
         raise ValidationError(f"eps must be positive, got {eps}")
-    nodes, weights = _gauss_hermite_rule(quad_points, dim)
-    return MollifiedDrift(raw=drift, eps=float(eps), nodes=nodes, weights=weights)
+    return float(eps)
+
+
+# Cephes ndtr.c rational forms for erf (Moshier, *Methods and Programs for
+# Mathematical Functions*, 1989), highest degree first
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``erf`` elementwise, within 3 ulp of ``math.erf``.
+
+    ``x T(x^2)/U(x^2)`` where ``|x| < 1``, else
+    ``sign(x) (1 - exp(-x^2) P(|x|)/Q(|x|))``.  The argument is clipped to
+    [-6, 6] first: ``erfc(6)`` is below half an ulp of 1, so no value
+    changes, both forms stay finite on every element (both are evaluated,
+    then selected), and NaN passes through.
+    """
+    x = np.clip(x, -6.0, 6.0)
+    a = np.abs(x)
+    z = x * x
+    inner = x * _horner(_ERF_T, z) / _horner(_ERF_U, z)
+    outer = np.copysign(
+        1.0 - np.exp(-z) * _horner(_ERFC_P, a) / _horner(_ERFC_Q, a), x)
+    return np.where(a < 1.0, inner, outer)
+
+
+def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest degree first) at ``z``."""
+    out = coeffs[0] * z
+    for c in coeffs[1:-1]:
+        out += c
+        out *= z
+    out += coeffs[-1]
+    return out
 
 
 def _gauss_hermite_rule(quad_points: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +341,8 @@ class FlowFields:
         d = self.nabla_x.shape[-1]
         eye = np.eye(d)
         prod = np.einsum("mnij,mnjk->mnik", self.nabla_x_inv, self.nabla_x)
-        return float(np.abs(prod - eye).max())
+        prod -= eye  # in place: the flow's largest temporary, held once
+        return float(np.abs(prod, out=prod).max())
 
 
 def variational_flow(problem: FBSDEProblem, ensemble: PathEnsemble) -> FlowFields:

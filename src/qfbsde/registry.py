@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import DriverSpec, FBSDEProblem, ValidationError
-from .forward import mollify_drift
+from .forward import _smoothed_sign, mollify_drift
 
 __all__ = [
     "make_drift",
@@ -147,6 +147,13 @@ DRIFTS = {
     "sign": _drift_sign,
     "holder_sqrt": _drift_holder_sqrt,
     "smooth_sin": _drift_smooth_sin,
+}
+
+# Drifts whose Gaussian smoothing has a closed form: eps -> (smoothed drift,
+# its Jacobian).  Every other drift takes the Gauss–Hermite rule of
+# mollify_drift.
+EXACT_SMOOTHINGS = {
+    "sign": _smoothed_sign,
 }
 
 
@@ -403,18 +410,24 @@ def build_problem(
     """Assemble a problem from registry names and parameter dicts.
 
     ``mollify_eps > 0`` replaces the named drift by its Gaussian
-    smoothing at that scale and registers the quadrature Jacobian as the
+    smoothing at that scale and registers that smoothing's Jacobian as the
     drift gradient — the route by which rough drifts (``sign``,
-    ``holder_sqrt``) become usable in flow and derivative solvers.
+    ``holder_sqrt``) become usable in flow and derivative solvers.  The
+    smoothing is exact where it has a closed form (``sign`` gives
+    ``erf(x/(eps*sqrt(2)))`` and the Gaussian density); every other drift
+    takes ``mollify_quad_points`` Gauss–Hermite nodes per dimension.
     """
     b, b_jac, b_bound = make_drift(drift, drift_params)
     phi, phi_bound, phi_lip, phi_grad = make_terminal(terminal, terminal_params)
     spec = make_driver(driver, driver_params)
     label = f"{drift}+{driver}+{terminal}"
     if mollify_eps > 0.0:
-        moll = mollify_drift(b, mollify_eps, dim=dim,
-                             quad_points=mollify_quad_points)
-        b, b_jac = moll, moll.jacobian
+        if drift in EXACT_SMOOTHINGS:
+            b, b_jac = EXACT_SMOOTHINGS[drift](mollify_eps)
+        else:
+            moll = mollify_drift(b, mollify_eps, dim=dim,
+                                 quad_points=mollify_quad_points)
+            b, b_jac = moll, moll.jacobian
         label += f"@eps{mollify_eps:g}"
     x0_vec = np.zeros(dim) + np.asarray(x0, dtype=float)
     return FBSDEProblem(

@@ -263,6 +263,26 @@ def test_cross_field_checks():
     assert "does not divide" in reasons(exc)[0]
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ('[problem]\ndim = 2\n[numerics]\nbasis = "piecewise_linear"\n',
+     "numerics.basis", 4),
+    ("[problem]\ndim = 2\nx0 = [0.0, 0.0, 0.0]\n", "problem.x0", 3),
+    ('[numerics]\ngrid_n = 10\n[experiment]\nkind = "derivatives"\n'
+     "anchors = [0, 10]\n", "experiment.anchors", 5),
+    ('[problem]\ndrift = "sign"\n[numerics]\neps = 0.0\n'
+     '[experiment]\nkind = "derivatives"\n', "numerics.eps", 4),
+    ('[problem]\ndrift = "sign"\n[experiment]\nkind = "derivatives"\n',
+     "numerics.eps", 0),  # eps left unset: no line to point at
+    ('[experiment]\nkind = "regularity"\nfine_n = 10\nmeshes = [3, 5]\n',
+     "experiment.meshes", 4),
+])
+def test_cross_field_diagnostic_points_at_its_key(text, key, line):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    (diag,) = exc.value.diagnostics
+    assert (diag.key, diag.line) == (key, line)
+
+
 def test_diagnostics_sorted_by_line_then_key():
     with pytest.raises(ConfigError) as exc:
         parse_config("[numerics]\nzz = 1\naa = 2\n")
@@ -318,6 +338,15 @@ def test_cli_validate_reports_diagnostics(tmp_path, capsys):
     assert lines[0] == (f"{p}:line 3: numerics.seed: duplicate key "
                         "(first bound on line 2)")
     assert lines[1].startswith(f"{p}:line 4: what: unknown key")
+
+
+def test_cli_validate_reports_cross_field_line(tmp_path, capsys):
+    p = tmp_path / "knots.cfg"
+    p.write_text("[numerics]\nbasis.knots = [-1.0, 0.0, 1.0]\n")
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        f"{p}:line 2: numerics.basis.knots: knots apply to the "
+        "piecewise_linear basis only\n")
 
 
 def test_cli_missing_file(tmp_path, capsys):

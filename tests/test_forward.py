@@ -199,6 +199,75 @@ def test_build_problem_wires_mollified_gradient():
     assert j.shape == (1, 1, 1) and j[0, 0, 0] > 0
 
 
+def _smoothed_sign_problem(dim=1, eps=0.1):
+    return build_problem(dim=dim, x0=np.zeros(dim), horizon=1.0,
+                         drift="sign", terminal="tanh", driver="colehopf",
+                         mollify_eps=eps)
+
+
+def test_smoothed_sign_is_erf_to_four_ulp():
+    eps = 0.1
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 400_001),
+                         [1e300, -1e300, np.inf, -np.inf, -0.0, 0.0]])
+    vals = _smoothed_sign_problem(eps=eps).drift(0.0, xs[:, None])[:, 0]
+    exact = np.array([math.erf(x / (eps * math.sqrt(2.0))) for x in xs])
+    ulps = np.abs(vals - exact) / np.spacing(np.abs(exact))
+    assert ulps.max() <= 4.0
+    assert np.signbit(vals[-2]) and not np.signbit(vals[-1])
+
+
+def test_smoothed_sign_is_odd_and_bounded():
+    drift = _smoothed_sign_problem().drift
+    xs = np.linspace(-3.0, 3.0, 6001)[:, None]
+    vals = drift(0.0, xs)
+    assert np.abs(vals).max() <= 1.0
+    assert np.array_equal(vals, -drift(0.0, -xs))
+
+
+def test_smoothed_sign_nan_state_is_a_drift_error(small_grid):
+    prob = _smoothed_sign_problem()
+    inc = sample_brownian(small_grid, 3, 1, seed=2)
+    with pytest.raises(DriftEvaluationError):
+        euler_maruyama(prob, small_grid, inc,
+                       x0=np.array([[0.0], [np.nan], [1.0]]))
+
+
+def test_smoothed_sign_jacobian_is_the_derivative_of_its_value():
+    # the flow differentiates the simulated drift: a central difference of
+    # the value must reproduce the registered Jacobian
+    eps, h = 0.1, 1e-6
+    prob = _smoothed_sign_problem(eps=eps)
+    xs = np.linspace(-1.0, 1.0, 2001)[:, None]
+    fd = (prob.drift(0.0, xs + h) - prob.drift(0.0, xs - h)) / (2.0 * h)
+    jac = prob.drift_gradient(0.0, xs)
+    assert jac.shape == (xs.shape[0], 1, 1)
+    peak = math.sqrt(2.0 / math.pi) / eps
+    assert jac[1000, 0, 0] == peak  # x = 0
+    assert np.abs(fd - jac[:, :, 0]).max() <= 1e-8 * peak
+
+
+def test_smoothed_sign_jacobian_is_diagonal_in_two_dims():
+    x = np.random.Generator(np.random.Philox(key=8)).normal(
+        scale=0.2, size=(50, 2))
+    jac = _smoothed_sign_problem(dim=2).drift_gradient(0.0, x)
+    one_d = _smoothed_sign_problem().drift_gradient
+    assert jac.shape == (50, 2, 2)
+    assert np.all(jac[:, 0, 1] == 0.0) and np.all(jac[:, 1, 0] == 0.0)
+    for k in range(2):
+        assert np.array_equal(jac[:, k, k], one_d(0.0, x[:, k:k + 1])[:, 0, 0])
+
+
+def test_build_problem_smooths_sign_exactly_and_others_by_quadrature():
+    prob = _smoothed_sign_problem()
+    assert not isinstance(prob.drift, forward.MollifiedDrift)
+    assert prob.drift(0.0, np.zeros((1, 1)))[0, 0] == 0.0
+    rough = build_problem(drift="holder_sqrt", mollify_eps=0.1,
+                          mollify_quad_points=16)
+    assert isinstance(rough.drift, forward.MollifiedDrift)
+    assert rough.drift.nodes.shape == (16, 1)
+    assert rough.drift_gradient == rough.drift.jacobian
+
+
 # ---------------------------------------------------------------------------
 # First-variation flow
 # ---------------------------------------------------------------------------
@@ -279,6 +348,22 @@ def test_import_leaves_scipy_linalg_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, qfbsde; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_smoothed_sign_leaves_scipy_special_unloaded():
+    # scipy.special adds about 19 MB of resident memory on import; the
+    # closed-form erf is plain numpy
+    src = os.path.dirname(os.path.dirname(forward.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy as np, qfbsde\n"
+            "p = qfbsde.build_problem(drift='sign', mollify_eps=0.1)\n"
+            "x = np.linspace(-1.0, 1.0, 11)[:, None]\n"
+            "p.drift(0.0, x); p.drift_gradient(0.0, x)\n"
+            "print('scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
