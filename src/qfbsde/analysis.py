@@ -35,9 +35,11 @@ from .backward import (
     BackwardSolution,
     RegressionBasis,
     _StepRegressor,
+    _relabel,
     _solve_cached,
+    _sweep_uncached,
+    _walk_stable,
     lsmc_solve,
-    stabilization_level,
     NOT_FOUND,
 )
 from .forward import PathEnsemble
@@ -236,17 +238,22 @@ def truncation_error_curve(
                   "seed": ensemble.seed, "basis": basis.kind}
     if reference == "large_n":
         if reference_level is None:
-            stab = stabilization_level(
-                problem, ensemble, basis,
-                list(levels) + [levels[-1] + 1], config, _cache=cache)
+            walk = levels + [levels[-1] + 1]
+            pending = _sweep_uncached(cache, problem, ensemble, basis, walk,
+                                      config)
+            stab = _walk_stable(cache, pending, walk)
             if stab is NOT_FOUND:
                 raise ValidationError(
                     "no stabilization level found below "
                     f"{levels[-1] + 1}; pass reference_level explicitly")
             reference_level = 2 * stab
             meta["stabilization_level"] = stab
-        ref = _solve_cached(cache, problem, ensemble, basis,
-                            int(reference_level), config)
+            if reference_level not in cache and reference_level not in pending:
+                cache[reference_level] = _relabel(cache[stab], reference_level)
+        else:
+            pending = _sweep_uncached(cache, problem, ensemble, basis,
+                                      [int(reference_level)] + levels, config)
+        ref = _solve_cached(cache, pending, int(reference_level))
         ref_y, ref_z = ref.y, ref.z
         meta["reference_level"] = int(reference_level)
     elif reference == "oracle":
@@ -257,6 +264,8 @@ def truncation_error_curve(
         if ref_y.shape != (ensemble.n_paths, ensemble.grid.n_steps + 1):
             raise ValidationError("oracle field has the wrong shape")
         ref_z = None
+        pending = _sweep_uncached(cache, problem, ensemble, basis, levels,
+                                  config)
     else:
         raise ValidationError(f"unknown reference {reference!r}")
 
@@ -264,7 +273,7 @@ def truncation_error_curve(
     m = ensemble.n_paths
     errors, stderrs, z_errors, z_stderrs = [], [], [], []
     for n in levels:
-        sol = _solve_cached(cache, problem, ensemble, basis, n, config)
+        sol = _solve_cached(cache, pending, n)
         err, se = _worst_node((sol.y - ref_y) ** 2)
         errors.append(err)
         stderrs.append(se)

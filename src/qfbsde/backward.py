@@ -21,7 +21,7 @@ terminal condition is written into the value array verbatim, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     QfbsdeError,
     RunConfig,
     TimeGrid,
+    UNTRUNCATED,
     ValidationError,
 )
 from .forward import PathEnsemble
@@ -346,79 +347,175 @@ def lsmc_solve(
     increases) or fails to reach ``config.picard_tol`` within
     ``config.picard_max`` sweeps.
     """
+    out = _lsmc_sweep(problem, ensemble, basis, (truncation_n,),
+                      config)[truncation_n]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+class _LevelRun:
+    """One level's fields and per-step records while a sweep runs.
+
+    ``put`` holds each step's ``(y_i, z_i)`` and writes them into the
+    path-major ``y``/``z`` a block of ``_BLOCK_STEPS`` steps at a time:
+    one column at a time, every path would be a separate cache line.
+    """
+
+    def __init__(self, m: int, n: int, d: int, terminal: np.ndarray):
+        self.y = np.empty((m, n + 1))
+        self.z = np.zeros((m, n, d))
+        self.y[:, n] = terminal
+        self.held = []  # (y_i, z_i) for steps i+k-1 down to i
+        self.picard_iters = np.zeros(n, dtype=int)
+        self.picard_residuals = np.zeros(n)
+        self.lstsq_fallbacks = np.zeros(n, dtype=int)
+        self.realized_y_max = 0.0
+        self.realized_z_max = 0.0
+
+    def put(self, i: int, y_i: np.ndarray, z_i: np.ndarray) -> None:
+        self.held.append((y_i, z_i))
+        if len(self.held) == _BLOCK_STEPS or i == 0:
+            k = len(self.held)
+            ys, zs = zip(*reversed(self.held))
+            self.y[:, i:i + k] = np.array(ys).T
+            self.z[:, i:i + k, :] = np.array(zs).transpose(1, 0, 2)
+            self.held = []
+
+
+_BLOCK_STEPS = 8  # 8 float64 per path fill one 64-byte cache line
+
+
+def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
+    """:func:`lsmc_solve` at every level of ``levels`` in one backward loop.
+
+    Returns ``{level: BackwardSolution or the exception its solve raised}``:
+    a level whose Picard iteration fails drops out and the others go on.
+    Failures that do not depend on the level (a non-finite terminal, a
+    design with too few paths) raise at once.
+
+    Each step builds one ``_StepRegressor``.  Finite levels whose next
+    values are still bitwise equal form a group, and each group projects
+    its own ``(M, 1)`` column (one product over several identical columns
+    need not return identical bits).  A group runs Picard at its lowest
+    level.  When every ``|y|`` fed to the driver and ``|z|`` stay at or
+    below that level, ``rho_truncate`` is the identity bit for bit at every
+    level of the group, so all of them take the result, an exception
+    included; otherwise the lowest level splits off and the rest rerun
+    Picard on the same projection.  ``UNTRUNCATED`` is never grouped: the
+    raw driver sees ``-0.0`` where the truncation passes ``+0.0``.
+    """
+    levels = tuple(dict.fromkeys(levels))
     x = ensemble.paths
     db = ensemble.increments
     m, n1, d = x.shape
     n = n1 - 1
-    grid = ensemble.grid
-    gdriver = problem.driver.truncated(truncation_n)
-    times, deltas = grid.times, grid.deltas
+    drivers = {lv: problem.driver.truncated(lv) for lv in levels}
+    times, deltas = ensemble.grid.times, ensemble.grid.deltas
+    outcome: dict = {}
 
-    y = np.empty((m, n + 1))
-    z = np.zeros((m, n, d))
-    y[:, n] = np.asarray(problem.terminal(x[:, n, :]), dtype=float)
-    if not np.all(np.isfinite(y[:, n])):
+    terminal = np.asarray(problem.terminal(x[:, n, :]), dtype=float)
+    if not np.all(np.isfinite(terminal)):
         raise ValidationError("terminal condition produced non-finite values")
-
-    picard_iters = np.zeros(n, dtype=int)
-    picard_residuals = np.zeros(n)
-    lstsq_fallbacks = np.zeros(n, dtype=int)
-    realized_y_max = 0.0
-    realized_z_max = 0.0
+    runs = {lv: _LevelRun(m, n, d, terminal) for lv in levels}
+    # (levels sharing bitwise-equal next values, lowest first; those values)
+    groups = [([lv], terminal) for lv in levels if lv is UNTRUNCATED]
+    finite = sorted((lv for lv in levels if lv is not UNTRUNCATED), key=int)
+    if finite:
+        groups.append((finite, terminal))
 
     for i in range(n - 1, -1, -1):
-        reg = _StepRegressor(basis, x[:, i, :])
-        ce, control = reg.ce_and_control(y[:, i + 1, None], db[:, i, :],
-                                         deltas[i])
-        lstsq_fallbacks[i] = reg.lstsq_fallbacks
-        ce = ce[:, 0]
-        z[:, i, :] = control[:, 0, :]
-        realized_z_max = max(realized_z_max, float(np.abs(z[:, i, :]).max()))
+        x_i = x[:, i, :]
+        reg = _StepRegressor(basis, x_i)
+        split = []
+        for group, y_next in groups:
+            before = reg.lstsq_fallbacks
+            ce, control = reg.ce_and_control(y_next[:, None], db[:, i, :],
+                                             deltas[i])
+            fallbacks = reg.lstsq_fallbacks - before
+            ce = ce[:, 0]
+            z_i = control[:, 0, :]
+            z_max = float(np.abs(z_i).max())
+            while group:
+                lo = group[0]
+                result, fed = _picard(drivers[lo], times[i], x_i, ce, z_i,
+                                      deltas[i], config, i)
+                shared = (len(group) > 1 and z_max <= lo
+                          and all(v <= lo for v in fed))
+                takers, group = (group, []) if shared else (group[:1], group[1:])
+                for lv in takers:
+                    run = runs[lv]
+                    run.lstsq_fallbacks[i] = fallbacks
+                    run.realized_z_max = max(run.realized_z_max, z_max)
+                    for v in fed:
+                        run.realized_y_max = max(run.realized_y_max, v)
+                    if isinstance(result, Exception):
+                        outcome[lv] = result
+                    else:
+                        y_i, run.picard_iters[i], run.picard_residuals[i] = result
+                        run.put(i, y_i, z_i)
+                if not isinstance(result, Exception):
+                    split.append((takers, result[0]))
+        groups = split
+        if not groups:
+            break
 
-        yk = ce
-        prev_res = math.inf
-        grow = 0
-        residuals = []
+    for lv in levels:
+        if lv in outcome:
+            continue
+        run = runs[lv]
+        diagnostics = {
+            "picard_iters": run.picard_iters,
+            "picard_residuals": run.picard_residuals,
+            "lstsq_fallbacks": run.lstsq_fallbacks,
+            "sup_y_node": float(np.abs(run.y).max()),
+            "realized_driver_y_max": run.realized_y_max,
+            "realized_driver_z_max": run.realized_z_max,
+        }
+        outcome[lv] = BackwardSolution(
+            grid=ensemble.grid, y=run.y, z=run.z, truncation_n=lv,
+            basis=basis, config=config, diagnostics=diagnostics)
+    return outcome
+
+
+def _picard(gdriver, t, x_i, ce, z_i, dt, config, i):
+    """Picard iteration for ``y = ce + dt * g(t, x_i, y, z_i)`` at step ``i``.
+
+    Returns ``(result, fed)``: ``result`` is ``(y, sweeps, last residual)``
+    or the exception that stopped the iteration, and ``fed`` lists
+    ``max|y|`` of each iterate passed to the driver.
+    """
+    fed = []
+    yk = ce
+    prev_res = math.inf
+    grow = 0
+    residuals = []
+    try:
         for sweep in range(config.picard_max):
-            realized_y_max = max(realized_y_max, float(np.abs(yk).max()))
-            gval = np.asarray(gdriver.g(times[i], x[:, i, :], yk, z[:, i, :]),
-                              dtype=float)
+            fed.append(float(np.abs(yk).max()))
+            gval = np.asarray(gdriver.g(t, x_i, yk, z_i), dtype=float)
             if not np.all(np.isfinite(gval)):
                 raise ValidationError(
                     f"driver produced non-finite values at step {i}")
-            y_new = ce + deltas[i] * gval
+            y_new = ce + dt * gval
             res = float(np.abs(y_new - yk).max())
             residuals.append(res)
             yk = y_new
             if res <= config.picard_tol:
-                picard_iters[i] = sweep + 1
-                picard_residuals[i] = res
-                break
+                return (yk, sweep + 1, res), fed
             grow = grow + 1 if res > prev_res else 0
             prev_res = res
             if grow >= 3:
                 raise PicardDivergenceError(
                     f"Picard residual grew three times in a row at step {i}",
                     step=i, residuals=residuals)
-        else:
-            raise PicardDivergenceError(
-                f"Picard did not reach tol={config.picard_tol} within "
-                f"{config.picard_max} sweeps at step {i} "
-                f"(last residual {residuals[-1]:.3e})",
-                step=i, residuals=residuals)
-        y[:, i] = yk
-
-    diagnostics = {
-        "picard_iters": picard_iters,
-        "picard_residuals": picard_residuals,
-        "lstsq_fallbacks": lstsq_fallbacks,
-        "sup_y_node": float(np.abs(y).max()),
-        "realized_driver_y_max": realized_y_max,
-        "realized_driver_z_max": realized_z_max,
-    }
-    return BackwardSolution(
-        grid=grid, y=y, z=z, truncation_n=truncation_n, basis=basis,
-        config=config, diagnostics=diagnostics)
+        raise PicardDivergenceError(
+            f"Picard did not reach tol={config.picard_tol} within "
+            f"{config.picard_max} sweeps at step {i} "
+            f"(last residual {residuals[-1]:.3e})",
+            step=i, residuals=residuals)
+    except Exception as exc:
+        return exc, fed
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +625,8 @@ def stabilization_level(
     ``|z_k| <= n`` — i.e. the truncation was provably inactive on the
     realized paths.  Returns the ``NOT_FOUND`` sentinel when no level in
     the list qualifies.  ``_cache`` (level -> solution) lets callers reuse
-    the solves.
+    the solves; the levels it lacks are solved in one sweep, and only
+    those the walk reaches are stored or raise.
     """
     levels = sorted(set(int(v) for v in n_list))
     if len(levels) < 2:
@@ -536,19 +634,52 @@ def stabilization_level(
     if levels[0] < 1:
         raise ValidationError("truncation levels must be positive integers")
     cache = _cache if _cache is not None else {}
+    pending = _sweep_uncached(cache, problem, ensemble, basis, levels, config)
+    return _walk_stable(cache, pending, levels)
+
+
+def _walk_stable(cache, pending, levels):
+    """The :func:`stabilization_level` walk over sorted ``levels``."""
     for lo, hi in zip(levels[:-1], levels[1:]):
-        sol_lo = _solve_cached(cache, problem, ensemble, basis, lo, config)
+        sol_lo = _solve_cached(cache, pending, lo)
         if (sol_lo.diagnostics["realized_driver_y_max"] > lo
                 or sol_lo.diagnostics["realized_driver_z_max"] > lo):
             continue
-        sol_hi = _solve_cached(cache, problem, ensemble, basis, hi, config)
+        sol_hi = _solve_cached(cache, pending, hi)
         if np.array_equal(sol_lo.y, sol_hi.y) and np.array_equal(sol_lo.z, sol_hi.z):
             return lo
     return NOT_FOUND
 
 
-def _solve_cached(cache, problem, ensemble, basis, level, config):
-    """``lsmc_solve`` at ``level``, memoized in ``cache`` (level -> solution)."""
+def _relabel(solution: BackwardSolution, level: int) -> BackwardSolution:
+    """:func:`lsmc_solve` at ``level`` from a solution at a lower level whose
+    driver never saw ``|y|`` or ``|z|`` above that level.
+
+    Below its own level the truncation is the identity bit for bit, so
+    every higher level repeats that solve exactly: the fields and
+    diagnostics are copied and only ``truncation_n`` changes.
+    """
+    diagnostics = {k: v.copy() if isinstance(v, np.ndarray) else v
+                   for k, v in solution.diagnostics.items()}
+    return replace(solution, y=solution.y.copy(), z=solution.z.copy(),
+                   truncation_n=level, diagnostics=diagnostics)
+
+
+def _sweep_uncached(cache, problem, ensemble, basis, levels, config) -> dict:
+    """One :func:`_lsmc_sweep` over the ``levels`` that ``cache`` lacks."""
+    todo = tuple(lv for lv in dict.fromkeys(levels) if lv not in cache)
+    return _lsmc_sweep(problem, ensemble, basis, todo, config) if todo else {}
+
+
+def _solve_cached(cache, pending, level):
+    """The solution at ``level``: from ``cache``, else moved there from ``pending``.
+
+    A pending exception is raised instead, so a walk raises exactly what
+    solving its levels one by one, in its own order, would have raised.
+    """
     if level not in cache:
-        cache[level] = lsmc_solve(problem, ensemble, basis, level, config)
+        out = pending[level]
+        if isinstance(out, Exception):
+            raise out
+        cache[level] = out
     return cache[level]

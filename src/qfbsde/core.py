@@ -85,7 +85,9 @@ def rho_truncate(x, n: int):
     ``sign(x) * (min(|x|, n) + s - s**2/4)``, so ``+/-inf`` map to
     ``+/-(n+1)`` and NaN stays NaN.  Consequently
     ``|rho(x)| <= min(|x|, n+1)`` and the derivative lives in ``[0, 1]``.
-    The map is odd by construction.
+    The map is odd by construction.  An array with ``max|x| <= n`` is
+    returned as ``x + 0.0``, bitwise what the expression gives there
+    (``-0.0`` maps to ``+0.0`` either way).
 
     Parameters
     ----------
@@ -101,6 +103,8 @@ def rho_truncate(x, n: int):
     n = _check_level(n)
     arr = np.asarray(x, dtype=float)
     a = np.abs(arr)
+    if arr.ndim and arr.size and a.max() <= n:
+        return arr + 0.0
     s = np.clip(a - n, 0.0, 2.0)
     out = np.sign(arr) * (np.minimum(a, n) + s - 0.25 * s * s)
     if np.isscalar(x) or arr.ndim == 0:

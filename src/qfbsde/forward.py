@@ -374,8 +374,9 @@ def variational_flow(problem: FBSDEProblem, ensemble: PathEnsemble) -> FlowField
             raise ValidationError(f"drift jacobian shape {a.shape} != {(m, d, d)}")
         step = eye + deltas[i] * a
         nabla[:, i + 1] = np.einsum("mij,mjk->mik", step, nabla[:, i])
-        # inverse of the exact one-step factor keeps the product identity
-        step_inv = np.linalg.inv(step)
+        # inverse of the exact one-step factor keeps the product identity;
+        # a 1x1 factor's reciprocal is bitwise what np.linalg.inv returns
+        step_inv = 1.0 / step if d == 1 else np.linalg.inv(step)
         nabla_inv[:, i + 1] = np.einsum("mij,mjk->mik", nabla_inv[:, i], step_inv)
     return FlowFields(grid=ensemble.grid, nabla_x=nabla, nabla_x_inv=nabla_inv)
 

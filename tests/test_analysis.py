@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qfbsde import backward
 from qfbsde import (
+    BackwardSolution,
     ConvergenceReport,
     DriverSpec,
+    PicardDivergenceError,
     RegressionBasis,
     RunConfig,
     TimeGrid,
@@ -148,6 +151,85 @@ def test_truncation_curve_plateaus_at_exact_zero(quad_problem, poly_basis):
                           np.zeros(4))
     # fit is nan: fewer than three strictly positive points survive
     assert math.isnan(rep.slope)
+
+
+@pytest.mark.parametrize("basis", [
+    RegressionBasis(kind="polynomial", degree=4),
+    RegressionBasis(kind="piecewise_linear", bins=16, support=(-4.5, 4.5)),
+], ids=["polynomial", "hat"])
+@pytest.mark.parametrize("reference_level", [None, 7])
+def test_truncation_curve_cache_equals_level_by_level_solves(
+        quad_problem, basis, reference_level):
+    grid = TimeGrid.uniform(1.0, 20)
+    rc = RunConfig(seed=11, n_paths=4000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    held = {lv: lsmc_solve(quad_problem, ens, basis, lv, rc) for lv in (2, 5)}
+    cache = dict(held)
+    rep = truncation_error_curve(quad_problem, ens, basis, [1, 2, 3, 4, 5, 6],
+                                 rc, reference_level=reference_level,
+                                 _cache=cache)
+    assert all(cache[lv] is sol for lv, sol in held.items())
+    ref = rep.metadata["reference_level"]
+    assert {1, 2, 3, 4, 5, 6, ref} <= set(cache) <= {1, 2, 3, 4, 5, 6, 7, ref}
+    for level, sol in cache.items():
+        alone = lsmc_solve(quad_problem, ens, basis, level, rc)
+        assert sol.truncation_n == level
+        assert sol.y.tobytes() == alone.y.tobytes()
+        assert sol.z.tobytes() == alone.z.tobytes()
+        for key, value in alone.diagnostics.items():
+            assert np.array_equal(sol.diagnostics[key], value), key
+    # levels 1..2 bind and the top of the ladder has settled on this ensemble
+    assert rep.errors[0] > 0.0 and rep.errors[-1] == 0.0
+
+
+def test_truncation_ladder_builds_one_regressor_per_step(monkeypatch,
+                                                         quad_problem,
+                                                         poly_basis):
+    # eleven levels, reference included, share each step's design and Gram
+    built = []
+
+    class Counting(backward._StepRegressor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backward, "_StepRegressor", Counting)
+    grid = TimeGrid.uniform(1.0, 12)
+    rc = RunConfig(seed=5, n_paths=2000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    cache = {}
+    truncation_error_curve(quad_problem, ens, poly_basis,
+                           [1, 2, 3, 4, 5, 6, 7, 8, 16, 32], rc,
+                           reference_level=64, _cache=cache)
+    assert len(built) == grid.n_steps
+    assert sorted(cache) == [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64]
+    assert all(isinstance(s, BackwardSolution) for s in cache.values())
+
+
+def test_truncation_curve_raises_only_what_it_reaches(poly_basis):
+    # levels 1, 2, 4 and 6 settle; 3 diverges at step 1 and 8, 12 at step 3
+    prob = build_problem(drift="zero", terminal="tanh", driver="linear",
+                         driver_params={"a": 8.0})
+    rc = RunConfig(seed=1, n_paths=1000)
+    ens = simulate(prob, TimeGrid.uniform(1.0, 4), rc.n_paths, rc.seed)
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    with pytest.raises(PicardDivergenceError) as alone:
+        lsmc_solve(prob, ens, basis, 8, rc)
+    # the reference is solved first, so its divergence is what surfaces
+    cache = {}
+    with pytest.raises(PicardDivergenceError) as err:
+        truncation_error_curve(prob, ens, basis, [1, 2, 4, 6], rc,
+                               reference_level=8, _cache=cache)
+    assert (str(err.value), err.value.step, err.value.residuals) == (
+        str(alone.value), alone.value.step, alone.value.residuals)
+    assert cache == {}
+    # every level binds, so the walk ends without a stabilization level;
+    # the candidate references 8 and 12 diverge but are never reached
+    cache = {}
+    with pytest.raises(ValidationError, match="no stabilization level"):
+        truncation_error_curve(prob, ens, basis, [1, 2, 4, 6], rc,
+                               _cache=cache)
+    assert sorted(cache) == [1, 2, 4, 6]
 
 
 def test_truncation_curve_oracle_reference(quad_problem, poly_basis):

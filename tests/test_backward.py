@@ -1,6 +1,7 @@
 """Backward-induction tests: regression bases, LSMC, audits, stabilization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from qfbsde import backward
 from qfbsde import (
     NOT_FOUND,
+    BackwardSolution,
+    DriverSpec,
     PathEnsemble,
     PicardDivergenceError,
     RegressionBasis,
@@ -405,3 +408,133 @@ def test_stabilization_level_validation(quad_problem, poly_basis,
     with pytest.raises(ValidationError):
         stabilization_level(quad_problem, small_ensemble, poly_basis,
                             [0, 2], small_config)
+
+
+# ---------------------------------------------------------------------------
+# One sweep over several truncation levels
+# ---------------------------------------------------------------------------
+
+def _assert_same_solution(a, b):
+    assert a.truncation_n == b.truncation_n
+    assert a.y.tobytes() == b.y.tobytes() and a.y.shape == b.y.shape
+    assert a.z.tobytes() == b.z.tobytes() and a.z.shape == b.z.shape
+    assert a.y.flags.c_contiguous and a.z.flags.c_contiguous
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, value in a.diagnostics.items():
+        other = b.diagnostics[key]
+        assert type(value) is type(other), key
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype, key
+            assert np.array_equal(value, other), key
+        else:
+            assert value == other, key
+
+
+def _assert_same_error(a, b):
+    assert type(a) is type(b)
+    assert str(a) == str(b)
+    assert getattr(a, "step", None) == getattr(b, "step", None)
+    assert getattr(a, "residuals", None) == getattr(b, "residuals", None)
+
+
+def _alone(problem, ens, basis, level, rc):
+    """``lsmc_solve`` at one level: its solution or the exception it raised."""
+    try:
+        return lsmc_solve(problem, ens, basis, level, rc)
+    except Exception as exc:  # noqa: BLE001 - compared field by field
+        return exc
+
+
+@pytest.mark.parametrize("basis", [
+    RegressionBasis(kind="polynomial", degree=4),
+    RegressionBasis(kind="piecewise_linear", bins=16, support=(-4.5, 4.5)),
+], ids=["polynomial", "hat"])
+def test_sweep_equals_level_by_level_solves(quad_problem, basis):
+    grid = TimeGrid.uniform(1.0, 20)
+    rc = RunConfig(seed=11, n_paths=4000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    levels = (1, 2, 3, 5, 8, 16, UNTRUNCATED)
+    swept = backward._lsmc_sweep(quad_problem, ens, basis, levels, rc)
+    assert set(swept) == set(levels)
+    for level in levels:
+        _assert_same_solution(swept[level],
+                              lsmc_solve(quad_problem, ens, basis, level, rc))
+    # the ladder holds levels that bind and levels that coincide bitwise
+    finite = [swept[lv] for lv in levels if lv is not UNTRUNCATED]
+    assert swept[1].diagnostics["realized_driver_y_max"] > 1
+    assert not np.array_equal(finite[0].y, finite[-1].y)
+    assert np.array_equal(finite[-2].y, finite[-1].y)
+    assert np.array_equal(finite[-2].z, finite[-1].z)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 6, 8, 12])
+def test_sweep_failures_match_single_level_solves(poly_basis, level):
+    # dt * |a| = 2 expands the fixed point until the truncation saturates
+    # it: levels 1, 2, 4 and 6 settle, 3 diverges at step 1, 8 and 12 at
+    # step 3; a level that fails leaves the sweep and the others go on
+    prob = build_problem(drift="zero", terminal="tanh", driver="linear",
+                         driver_params={"a": 8.0})
+    rc = RunConfig(seed=1, n_paths=1000)
+    ens = simulate(prob, TimeGrid.uniform(1.0, 4), rc.n_paths, rc.seed)
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    swept = backward._lsmc_sweep(prob, ens, basis, (1, 2, 3, 4, 6, 8, 12), rc)
+    alone = _alone(prob, ens, basis, level, rc)
+    if isinstance(alone, Exception):
+        _assert_same_error(swept[level], alone)
+    else:
+        _assert_same_solution(swept[level], alone)
+    assert sorted(lv for lv, out in swept.items()
+                  if isinstance(out, PicardDivergenceError)) == [3, 8, 12]
+
+
+def test_sweep_counts_fallbacks_per_level(quad_problem):
+    # two groups project on one singular Gram at every step; each level
+    # counts only its own two projections
+    basis = RegressionBasis(kind="polynomial", degree=4, ridge=0.0)
+    ens = _coin_ensemble(400, TimeGrid.uniform(1.0, 4), 8, 200)
+    rc = RunConfig(seed=8, n_paths=400)
+    swept = backward._lsmc_sweep(quad_problem, ens, basis,
+                                 (6, UNTRUNCATED), rc)
+    for level in (6, UNTRUNCATED):
+        assert np.all(swept[level].diagnostics["lstsq_fallbacks"] == 2)
+
+
+def test_stabilization_walk_raises_only_what_it_reaches():
+    prob = build_problem(drift="zero", terminal="tanh", driver="linear",
+                         driver_params={"a": 8.0})
+    rc = RunConfig(seed=1, n_paths=1000)
+    ens = simulate(prob, TimeGrid.uniform(1.0, 4), rc.n_paths, rc.seed)
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    # 1 and 2 bind, so the walk reaches 3 and raises its divergence
+    cache = {}
+    with pytest.raises(PicardDivergenceError) as err:
+        stabilization_level(prob, ens, basis, [1, 2, 3, 4, 8], rc,
+                            _cache=cache)
+    _assert_same_error(err.value, _alone(prob, ens, basis, 3, rc))
+    assert sorted(cache) == [1, 2]
+    # 4 and 6 bind, and 8 diverges but is never reached
+    cache = {}
+    assert stabilization_level(prob, ens, basis, [4, 6, 8], rc,
+                               _cache=cache) is NOT_FOUND
+    assert sorted(cache) == [4, 6]
+    assert all(isinstance(s, BackwardSolution)
+               for s in cache.values())
+
+
+def test_stabilization_walk_raises_the_driver_error_it_reaches(quad_problem):
+    # the driver turns non-finite at |y| > 5, which truncation at level 4
+    # or below never passes to it
+    def g(t, x, y, z):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.abs(y) > 5.0, np.inf, 12.0 * y)
+
+    prob = replace(quad_problem, driver=DriverSpec(
+        g=g, lambda0=0.0, lambda_y=12.0, lambda_z=0.0, name="steep"))
+    rc = RunConfig(seed=1, n_paths=2000)
+    ens = simulate(prob, TimeGrid.uniform(1.0, 4), rc.n_paths, rc.seed)
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    cache = {}
+    with pytest.raises(ValidationError, match="non-finite") as err:
+        stabilization_level(prob, ens, basis, [2, 4, 6, 8], rc, _cache=cache)
+    _assert_same_error(err.value, _alone(prob, ens, basis, 6, rc))
+    assert sorted(cache) == [2, 4]

@@ -90,6 +90,31 @@ def test_truncation_maps_non_finite_points_without_warnings(n):
     assert d[0] == 0.0 and d[1] == 0.0 and np.isnan(d[2])
 
 
+def _rho_expression(x, n):
+    """The clamped blend of :func:`rho_truncate`'s docstring, as written."""
+    a = np.abs(x)
+    s = np.clip(a - n, 0.0, 2.0)
+    return np.sign(x) * (np.minimum(a, n) + s - 0.25 * s * s)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_truncation_identity_region_shortcut_is_bitwise_the_expression(n):
+    # arrays inside [-n, n] return x + 0.0; everything else, NaN, empty
+    # arrays and scalars included, goes through the expression
+    inner = GRID[np.abs(GRID) <= n]
+    zeros = np.array([0.0, -0.0])
+    cases = [inner, inner.reshape(-1, 1), np.concatenate([inner, zeros]),
+             zeros, GRID, np.array([0.5, np.nan]), np.empty(0),
+             np.empty((0, 2))]
+    for x in cases:
+        out = rho_truncate(x, n)
+        assert out.shape == x.shape and out is not x
+        assert out.tobytes() == _rho_expression(x, n).tobytes()
+    assert not np.signbit(rho_truncate(zeros, n)).any()  # -0.0 -> +0.0
+    assert not math.copysign(1.0, rho_truncate(-0.0, n)) < 0.0
+    assert rho_truncate(float(n), n) == float(n)
+
+
 def test_truncation_rejects_bad_levels():
     with pytest.raises(ValidationError):
         rho_truncate(GRID, 0)

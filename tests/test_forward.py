@@ -295,6 +295,37 @@ def test_flow_inverse_tracks_flow(small_grid):
     assert np.allclose(flow.nabla_x[:, 1, 0, 0], step, atol=1e-15)
 
 
+def _inverse_chain(problem, ens):
+    """``nabla_x_inv`` with each one-step factor inverted by ``np.linalg.inv``."""
+    m, n1, d = ens.paths.shape
+    grid = ens.grid
+    out = np.empty((m, n1, d, d))
+    out[:, 0] = np.eye(d)
+    for i in range(n1 - 1):
+        jac = problem.drift_gradient(grid.times[i], ens.paths[:, i, :])
+        step = np.eye(d) + grid.deltas[i] * jac
+        out[:, i + 1] = np.einsum("mij,mjk->mik", out[:, i],
+                                  np.linalg.inv(step))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flow_inverse_is_bitwise_the_inverted_factor_chain(small_grid, dim):
+    # d = 1 divides instead of calling np.linalg.inv; d >= 2 still inverts
+    prob = build_problem(dim=dim, x0=np.zeros(dim), horizon=1.0,
+                         drift="sign", mollify_eps=0.1, terminal="tanh",
+                         driver="zero")
+    ens = simulate(prob, small_grid, 300, seed=4)
+    flow = variational_flow(prob, ens)
+    assert flow.nabla_x_inv.tobytes() == _inverse_chain(prob, ens).tobytes()
+
+
+def test_one_by_one_reciprocal_is_bitwise_the_inverse():
+    gen = np.random.Generator(np.random.Philox(key=9))
+    step = 1.0 + 0.5 * gen.standard_normal((5000, 1, 1))
+    assert (1.0 / step).tobytes() == np.linalg.inv(step).tobytes()
+
+
 def test_flow_requires_gradient(small_grid):
     sign, _, bound = make_drift("sign")
     prob = FBSDEProblem(dim=1, x0=np.zeros(1), drift=sign,
