@@ -33,6 +33,7 @@ from .core import (
     TimeGrid,
     UNTRUNCATED,
     ValidationError,
+    _step_major,
 )
 from .forward import PathEnsemble
 
@@ -309,10 +310,11 @@ class BackwardSolution:
     """LSMC approximation of ``(Y, Z)`` on a path ensemble.
 
     ``y`` has shape ``(M, N+1)``; ``z`` has shape ``(M, N, d)`` (the control
-    lives on steps, not nodes).  ``diagnostics`` records per-step Picard
-    behaviour, per-step counts of singular Grams solved by least squares
-    (``lstsq_fallbacks``), realized input magnitudes seen by the driver,
-    and the sup-node value bound.
+    lives on steps, not nodes).  Both are step-major in memory: ``y[:, i]``
+    and ``z[:, i]`` are contiguous.  ``diagnostics`` records per-step
+    Picard behaviour, per-step counts of singular Grams solved by least
+    squares (``lstsq_fallbacks``), realized input magnitudes seen by the
+    driver, and the sup-node value bound.
     """
 
     grid: TimeGrid
@@ -357,16 +359,14 @@ def lsmc_solve(
 class _LevelRun:
     """One level's fields and per-step records while a sweep runs.
 
-    ``put`` holds each step's ``(y_i, z_i)`` and writes them into the
-    path-major ``y``/``z`` a block of ``_BLOCK_STEPS`` steps at a time:
-    one column at a time, every path would be a separate cache line.
+    ``y`` and ``z`` are step-major, so ``put`` writes each step's column
+    as one contiguous slab.
     """
 
     def __init__(self, m: int, n: int, d: int, terminal: np.ndarray):
-        self.y = np.empty((m, n + 1))
-        self.z = np.zeros((m, n, d))
+        self.y = _step_major(m, n + 1)
+        self.z = _step_major(m, n, d)
         self.y[:, n] = terminal
-        self.held = []  # (y_i, z_i) for steps i+k-1 down to i
         self.picard_iters = np.zeros(n, dtype=int)
         self.picard_residuals = np.zeros(n)
         self.lstsq_fallbacks = np.zeros(n, dtype=int)
@@ -374,16 +374,8 @@ class _LevelRun:
         self.realized_z_max = 0.0
 
     def put(self, i: int, y_i: np.ndarray, z_i: np.ndarray) -> None:
-        self.held.append((y_i, z_i))
-        if len(self.held) == _BLOCK_STEPS or i == 0:
-            k = len(self.held)
-            ys, zs = zip(*reversed(self.held))
-            self.y[:, i:i + k] = np.array(ys).T
-            self.z[:, i:i + k, :] = np.array(zs).transpose(1, 0, 2)
-            self.held = []
-
-
-_BLOCK_STEPS = 8  # 8 float64 per path fill one 64-byte cache line
+        self.y[:, i] = y_i
+        self.z[:, i] = z_i
 
 
 def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
@@ -661,7 +653,7 @@ def _relabel(solution: BackwardSolution, level: int) -> BackwardSolution:
     """
     diagnostics = {k: v.copy() if isinstance(v, np.ndarray) else v
                    for k, v in solution.diagnostics.items()}
-    return replace(solution, y=solution.y.copy(), z=solution.z.copy(),
+    return replace(solution, y=np.copy(solution.y), z=np.copy(solution.z),
                    truncation_n=level, diagnostics=diagnostics)
 
 

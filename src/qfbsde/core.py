@@ -309,6 +309,15 @@ class TimeGrid:
         return float(np.max(np.diff(self.times)))
 
 
+def _step_major(m: int, steps: int, *tail: int) -> np.ndarray:
+    """An uninitialized ``(m, steps, *tail)`` array stored steps first.
+
+    ``a[:, i]`` is one contiguous slab, which is what every loop over the
+    steps reads or writes.
+    """
+    return np.moveaxis(np.empty((steps, m, *tail)), 0, 1)
+
+
 def _nested_indices(fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
     """Indices in ``fine`` of the nodes of ``coarse``; errors when not nested.
 

@@ -18,7 +18,7 @@ thin sets.  The reduced field is the state-coordinate gradient of the
 value function; each of its regression targets is a function of the
 current and next state only, which is exactly the setting where an LSMC
 projection is consistent.  The full fields are reconstructed pathwise
-against the flow afterwards.
+against the flow as each step finishes.
 
 Because the equations are linear, the implicit Euler step has a closed form
 (one division instead of a Picard loop); the residual of the implicit
@@ -45,6 +45,7 @@ from .core import (
     TimeGrid,
     UNTRUNCATED,
     ValidationError,
+    _step_major,
 )
 from .backward import (
     BackwardSolution,
@@ -157,16 +158,16 @@ def _central_difference(fn, at):
 # Linear backward induction (shared by gradient and Malliavin solves)
 # ---------------------------------------------------------------------------
 
-def _linear_backward(problem, ensemble, flow, base, basis, config,
-                     terminal_value, start_index):
-    """Backward induction for the linear BSDE, in reduced coordinates.
+def _gradient_steps(problem, ensemble, flow, base, basis, config, start):
+    """``(i, nablaY_i, nablaZ_i)`` for ``i = N, N-1, .., start``, in turn.
 
-    The reduced value at step ``i`` is the tangent field right-divided by
-    its forward factor; for both the gradient equation and every Malliavin
-    anchor that quotient satisfies the *same* recursion, because the factor
-    cancels out of the forcing (``g_x`` contracted with the factor, divided
-    by it) and the one-step transition ``D_i X_{i+1} = I + dt * Jb`` is the
-    same.  Concretely, with ``F_i`` the one-step factor:
+    The induction runs in reduced coordinates: the reduced value at step
+    ``i`` is the tangent field right-divided by its forward factor; for
+    both the gradient equation and every Malliavin anchor that quotient
+    satisfies the *same* recursion, because the factor cancels out of the
+    forcing (``g_x`` contracted with the factor, divided by it) and the
+    one-step transition ``D_i X_{i+1} = I + dt * Jb`` is the same.
+    Concretely, with ``F_i`` the one-step factor:
 
     * target:   ``T = v_{i+1} F_i``      (a function of ``X_i, X_{i+1}``),
     * value:    ``v_i = (E[T|X_i] + dt*(g_x + g_z . w_i)) / (1 - dt*g_y)``,
@@ -179,33 +180,31 @@ def _linear_backward(problem, ensemble, flow, base, basis, config,
     any sensible bin or polynomial resolution: left inside the regression
     the factor gets smeared and its effect is systematically attenuated.
 
-    ``terminal_value`` is the reduced terminal ``phi'(X_T)``, shape
-    ``(M, d)``.  Returns ``(v, w)`` with the time axis starting at
-    ``start_index``; ``w``'s first matrix index is the state direction,
-    the second the Brownian component.
+    The reduced terminal is ``phi'(X_T)``.  ``w``'s first matrix index is
+    the state direction, the second the Brownian component.  Each step is
+    reconstructed pathwise as ``(v_i nablaX_i, nablaX_i^T w_i)`` as soon as
+    it finishes (``nablaZ_N`` is ``None``); only ``v_{i+1}`` is held from
+    one step to the next.
     """
     x = ensemble.paths
     db = ensemble.increments
-    m, n1, d = x.shape
-    n = n1 - 1
+    n = x.shape[1] - 1
     deltas = ensemble.grid.deltas
     times = ensemble.grid.times
+    nabla_x = flow.nabla_x
     gdriver = problem.driver.truncated(base.truncation_n)
 
-    span = n - start_index
-    v = np.empty((m, span + 1, d))
-    w = np.zeros((m, span, d, d))
-    v[:, span, :] = terminal_value
-    if not np.all(np.isfinite(terminal_value)):
+    v = _terminal_gradient(problem, x[:, n, :])
+    if not np.all(np.isfinite(v)):
         raise ValidationError("derivative terminal value is non-finite")
+    yield n, np.einsum("mk,mkl->ml", v, nabla_x[:, n]), None
 
-    for i in range(n - 1, start_index - 1, -1):
-        j = i - start_index
+    for i in range(n - 1, start - 1, -1):
         step_factor = malliavin_forward(flow, i, i + 1)
         vhat, wfit = _StepRegressor(basis, x[:, i, :]).ce_and_control(
-            v[:, j + 1, :], db[:, i, :], deltas[i])
+            v, db[:, i, :], deltas[i])
         ce = np.einsum("mj,mjk->mk", vhat, step_factor)
-        w[:, j, :, :] = np.einsum("mjk,mjl->mkl", step_factor, wfit)
+        w = np.einsum("mjk,mjl->mkl", step_factor, wfit)
 
         gx, gy, gz = _driver_gradients(
             gdriver, times[i], x[:, i, :], base.y[:, i], base.z[:, i, :])
@@ -215,35 +214,20 @@ def _linear_backward(problem, ensemble, flow, base, basis, config,
                 f"implicit linear step ill-conditioned at step {i} "
                 "(time step too coarse for the frozen y-coefficient)")
         # g_z contracts the Brownian component of the reduced control
-        inhom = gx + np.einsum("ml,mkl->mk", gz, w[:, j, :, :])
-        v[:, j, :] = (ce + deltas[i] * inhom) / denom[:, None]
+        inhom = gx + np.einsum("ml,mkl->mk", gz, w)
+        v = (ce + deltas[i] * inhom) / denom[:, None]
 
         # the step is linear, so one division must already satisfy the
         # implicit relation; a residual above tolerance is a real failure
-        rhs = ce + deltas[i] * (inhom + gy[:, None] * v[:, j, :])
-        res = float(np.abs(v[:, j, :] - rhs).max())
-        scale = 1.0 + float(np.abs(v[:, j, :]).max())
+        rhs = ce + deltas[i] * (inhom + gy[:, None] * v)
+        res = float(np.abs(v - rhs).max())
+        scale = 1.0 + float(np.abs(v).max())
         if res > max(config.picard_tol, 1e-12) * scale:
             raise PicardDivergenceError(
                 f"linear implicit step residual {res:.3e} at step {i}",
                 step=i, residuals=[res])
-    return v, w
-
-
-def _gradient_fields(problem, ensemble, flow, base, basis, config, start):
-    """``(nablaY, nablaZ)`` on the nodes ``start..N``.
-
-    The reduced induction from the terminal ``phi'(X_T)`` back to ``start``
-    (see ``_linear_backward``), reconstructed pathwise as ``(v nablaX,
-    nablaX^T w)``.  The reduced ``(v, w)`` are freed on return, so they
-    never coexist with fields the caller derives from these.
-    """
-    v, w = _linear_backward(
-        problem, ensemble, flow, base, basis, config,
-        _terminal_gradient(problem, ensemble.paths[:, -1, :]), start)
-    nabla_x = flow.nabla_x[:, start:]
-    return (np.einsum("mik,mikl->mil", v, nabla_x),
-            np.einsum("mikl,mika->mial", w, nabla_x[:, :-1]))
+        yield (i, np.einsum("mk,mkl->ml", v, nabla_x[:, i]),
+               np.einsum("mkl,mka->mal", w, nabla_x[:, i]))
 
 
 def solve_gradient_bsde(
@@ -259,12 +243,20 @@ def solve_gradient_bsde(
     Terminal condition ``nablaY_T = phi'(X_T) nablaX_T``; the driver of the
     linear equation contracts the frozen gradients ``(g_x, g_y, g_z)`` with
     ``(nablaX, nablaY, nablaZ)``.  The induction itself runs on the reduced
-    fields (see ``_linear_backward``) and the returned arrays are the
-    pathwise reconstructions against ``nablaX``.  Driver and terminal
-    gradients fall back to central differences (step ``1e-5``) when
-    analytic ones are absent.
+    fields (see ``_gradient_steps``) and the returned arrays are the
+    pathwise reconstructions against ``nablaX``, step-major in memory.
+    Driver and terminal gradients fall back to central differences (step
+    ``1e-5``) when analytic ones are absent.
     """
-    return _gradient_fields(problem, ensemble, flow, base, basis, config, 0)
+    m, n1, d = ensemble.paths.shape
+    nabla_y = _step_major(m, n1, d)
+    nabla_z = _step_major(m, n1 - 1, d, d)
+    for i, ny_i, nz_i in _gradient_steps(problem, ensemble, flow, base,
+                                         basis, config, 0):
+        nabla_y[:, i] = ny_i
+        if nz_i is not None:
+            nabla_z[:, i] = nz_i
+    return nabla_y, nabla_z
 
 
 def solve_malliavin_bsde(
@@ -286,8 +278,10 @@ def solve_malliavin_bsde(
     :func:`solve_gradient_bsde`, and each anchor's fields are those times
     one inverse flow: ``D_u Y_t = nablaY_t (nablaX_u)^{-1}`` and
     ``D_u Z_t = (nablaX_u)^{-T} nablaZ_t`` (the representation of El Karoui,
-    Peng & Quenez, 1997).  Fields are stored from the anchor onward; the
-    value before the anchor is identically zero and never materialized.
+    Peng & Quenez, 1997).  Each step is written into every anchor's
+    step-major fields as the induction reaches it.  Fields are stored from
+    the anchor onward; the value before the anchor is identically zero and
+    never materialized.
     """
     n = ensemble.grid.n_steps
     anchors = tuple(sorted(set(int(u) for u in anchors)))
@@ -295,14 +289,19 @@ def solve_malliavin_bsde(
         raise ValidationError("need at least one anchor index")
     if anchors[0] < 0 or anchors[-1] >= n:
         raise ValidationError(f"anchors must lie in [0, {n - 1}]")
-    u0 = anchors[0]
-    nabla_y, nabla_z = _gradient_fields(problem, ensemble, flow, base, basis,
-                                        config, u0)
-    inv = flow.nabla_x_inv
-    dy = {u: np.einsum("mik,mkl->mil", nabla_y[:, u - u0:], inv[:, u])
-          for u in anchors}
-    dz = {u: np.einsum("mikl,mka->mial", nabla_z[:, u - u0:], inv[:, u])
-          for u in anchors}
+    m, _, d = ensemble.paths.shape
+    # each anchor's inverse flow is read at every step: gather it once
+    inv = {u: np.ascontiguousarray(flow.nabla_x_inv[:, u]) for u in anchors}
+    dy = {u: _step_major(m, n + 1 - u, d) for u in anchors}
+    dz = {u: _step_major(m, n - u, d, d) for u in anchors}
+    for i, ny_i, nz_i in _gradient_steps(problem, ensemble, flow, base,
+                                         basis, config, anchors[0]):
+        for u in anchors:
+            if u > i:
+                break
+            dy[u][:, i - u] = np.einsum("mk,mkl->ml", ny_i, inv[u])
+            if nz_i is not None:
+                dz[u][:, i - u] = np.einsum("mkl,mka->mal", nz_i, inv[u])
     return dy, dz
 
 

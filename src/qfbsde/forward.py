@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FBSDEProblem, QfbsdeError, TimeGrid, ValidationError
+from .core import (FBSDEProblem, QfbsdeError, TimeGrid, ValidationError,
+                   _step_major)
 
 __all__ = [
     "DriftEvaluationError",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_TRANSPOSE_PATHS = 256  # paths per sub-block of a transposed Philox block
 _NODE_AVERAGE_POINTS = 1 << 20  # shifted points per block of _node_average
 _SCHEME = f"philox4x64-block{_BLOCK}"
 _MASK64 = (1 << 64) - 1
@@ -50,16 +52,16 @@ class PathEnsemble:
     """Simulated forward paths together with their driving increments.
 
     ``increments`` has shape ``(M, N, d)`` (Brownian increments per step),
-    ``paths`` has shape ``(M, N+1, d)``.  ``scheme`` records the substream
-    convention used to draw the noise so persisted ensembles are
-    self-describing.
+    ``paths`` has shape ``(M, N+1, d)``.  Both are step-major in memory
+    when this module made them: ``paths[:, i]`` is one contiguous slab.
+    ``scheme`` records the substream convention used to draw the noise so
+    persisted ensembles are self-describing.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     paths: np.ndarray
     seed: int
-    x0: np.ndarray
     scheme: str = _SCHEME
 
     @property
@@ -77,22 +79,28 @@ def sample_brownian(grid: TimeGrid, n_paths: int, dim: int, seed: int) -> np.nda
     Paths are drawn in blocks of ``4096`` from ``Philox`` streams keyed by
     ``(seed, block index)``; the numbers attached to a given path therefore
     do not depend on the total number of paths requested, and identical
-    arguments always reproduce the identical array.
+    arguments always reproduce the identical array.  The array is
+    step-major: ``inc[:, i]`` is contiguous.
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     n = grid.n_steps
-    out = np.empty((n_paths, n, dim), dtype=np.float64)
+    out = np.empty((n, n_paths, dim), dtype=np.float64)
     for start in range(0, n_paths, _BLOCK):
         block = start // _BLOCK
         key = ((block & _MASK64) << 64) | (int(seed) & _MASK64)
         gen = np.random.Generator(np.random.Philox(key=key))
         take = min(_BLOCK, n_paths - start)
-        out[start:start + take] = gen.standard_normal((take, n, dim))
-    out *= np.sqrt(grid.deltas)[None, :, None]
-    return out
+        draw = gen.standard_normal((take, n, dim))
+        # transposed a few hundred paths at a time: a sub-block's rows stay
+        # in cache until the last step has read them
+        for lo in range(0, take, _TRANSPOSE_PATHS):
+            hi = min(lo + _TRANSPOSE_PATHS, take)
+            out[:, start + lo:start + hi] = draw[lo:hi].transpose(1, 0, 2)
+    out *= np.sqrt(grid.deltas)[:, None, None]
+    return np.moveaxis(out, 0, 1)
 
 
 def euler_maruyama(
@@ -105,7 +113,8 @@ def euler_maruyama(
     and simulate in one step); ``-1`` marks externally supplied noise.
     ``x0`` overrides the problem's initial state — a single point or one row
     per path — which is how conditional (branching) simulations restart from
-    interior states.  Raises :class:`DriftEvaluationError` as soon as the
+    interior states.  The paths are step-major whatever the layout of
+    ``increments``.  Raises :class:`DriftEvaluationError` as soon as the
     drift returns a non-finite value (rough drifts that were not mollified
     can do this when fed pathological states).
     """
@@ -116,7 +125,7 @@ def euler_maruyama(
     if d != problem.dim:
         raise ValidationError(f"increments dim {d} != problem dim {problem.dim}")
     start = problem.x0 if x0 is None else np.asarray(x0, dtype=float)
-    paths = np.empty((m, n + 1, d), dtype=np.float64)
+    paths = _step_major(m, n + 1, d)
     paths[:, 0, :] = start
     deltas = grid.deltas
     times = grid.times
@@ -129,10 +138,8 @@ def euler_maruyama(
             raise DriftEvaluationError(
                 f"drift produced non-finite values at t={times[i]:.6g}")
         paths[:, i + 1, :] = paths[:, i, :] + bval * deltas[i] + increments[:, i, :]
-    return PathEnsemble(
-        grid=grid, increments=increments, paths=paths,
-        seed=int(seed), x0=np.asarray(start, dtype=float),
-    )
+    return PathEnsemble(grid=grid, increments=increments, paths=paths,
+                        seed=int(seed))
 
 
 def simulate(

@@ -2,21 +2,26 @@
 
 All binary files are little-endian regardless of host, with a 4-byte
 magic tag, an ``int64`` header and ``float64`` bodies in row-major
-order:
+order.  Path fields are stored step-major, as the library holds them in
+memory: an ``(M, N, ...)`` field is written as ``np.swapaxes(a, 0, 1)``,
+so saving and loading need no transposing copy.
 
-``QFB1`` — path ensemble
+``QFB2`` — path ensemble
     header ``seed, M, N, d``; body: grid times ``(N+1,)``, increments
-    ``(M, N, d)``, paths ``(M, N+1, d)``.
+    ``(N, M, d)``, paths ``(N+1, M, d)``.
 
-``QFS1`` — backward solution
+``QFS2`` — backward solution
     header ``seed, M, N, d, truncation`` (0 = untruncated); body: grid
-    times ``(N+1,)``, value field ``(M, N+1)``, control field
-    ``(M, N, d)``.
+    times ``(N+1,)``, value field ``(N+1, M)``, control field
+    ``(N, M, d)``.
 
 ``QFF1`` — named field set (derivative fields and the like)
     header ``seed, n_fields, n_grid_nodes``; body: grid times, then per
     field a length-prefixed ASCII name, an ``int64`` rank + shape, and
-    the ``float64`` data.
+    the ``float64`` data in the field's own axis order.
+
+Files with the path-major ``QFB1``/``QFS1`` layout are rejected by their
+magic.
 
 CSV output uses RFC-4180 quoting with CRLF line endings; JSON output is
 UTF-8 with sorted keys, so identical inputs serialize byte-identically.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -46,8 +52,8 @@ __all__ = [
     "write_json",
 ]
 
-_MAGIC_ENSEMBLE = b"QFB1"
-_MAGIC_SOLUTION = b"QFS1"
+_MAGIC_ENSEMBLE = b"QFB2"
+_MAGIC_SOLUTION = b"QFS2"
 _MAGIC_FIELDS = b"QFF1"
 
 _I8 = np.dtype("<i8")
@@ -80,6 +86,17 @@ def _read_f8(fh, count, what):
     return out
 
 
+def _write_steps(fh, array):
+    """A path field's body: the step axis first, in row-major order."""
+    _write_f8(fh, np.swapaxes(array, 0, 1))
+
+
+def _read_steps(fh, shape, what):
+    """The ``(M, N, ...)`` view of a field stored by :func:`_write_steps`."""
+    body = _read_f8(fh, math.prod(shape), what)
+    return np.moveaxis(body.reshape(shape), 0, 1)
+
+
 def _expect_magic(fh, magic, path):
     got = fh.read(4)
     if got != magic:
@@ -97,8 +114,8 @@ def save_ensemble(path, ensemble: PathEnsemble) -> None:
         fh.write(_MAGIC_ENSEMBLE)
         _write_i8(fh, ensemble.seed, m, n, d)
         _write_f8(fh, ensemble.grid.times)
-        _write_f8(fh, ensemble.increments)
-        _write_f8(fh, ensemble.paths)
+        _write_steps(fh, ensemble.increments)
+        _write_steps(fh, ensemble.paths)
 
 
 def load_ensemble(path) -> PathEnsemble:
@@ -106,10 +123,10 @@ def load_ensemble(path) -> PathEnsemble:
         _expect_magic(fh, _MAGIC_ENSEMBLE, path)
         seed, m, n, d = _read_i8(fh, 4, "header")
         times = _read_f8(fh, n + 1, "grid times")
-        inc = _read_f8(fh, m * n * d, "increments").reshape(m, n, d)
-        paths = _read_f8(fh, m * (n + 1) * d, "paths").reshape(m, n + 1, d)
+        inc = _read_steps(fh, (n, m, d), "increments")
+        paths = _read_steps(fh, (n + 1, m, d), "paths")
     return PathEnsemble(grid=TimeGrid(times=times), increments=inc,
-                        paths=paths, seed=seed, x0=paths[0, 0, :].copy())
+                        paths=paths, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +142,8 @@ def save_solution(path, solution) -> None:
         fh.write(_MAGIC_SOLUTION)
         _write_i8(fh, solution.config.seed, m, n1 - 1, d, level)
         _write_f8(fh, solution.grid.times)
-        _write_f8(fh, solution.y)
-        _write_f8(fh, solution.z)
+        _write_steps(fh, solution.y)
+        _write_steps(fh, solution.z)
 
 
 def load_solution(path) -> dict:
@@ -134,14 +151,15 @@ def load_solution(path) -> dict:
 
     Returns a dict with ``grid``, ``y``, ``z``, ``truncation_n`` and
     ``seed`` — the container does not carry the basis or solver knobs,
-    so no :class:`BackwardSolution` is fabricated.
+    so no :class:`BackwardSolution` is fabricated.  ``y`` and ``z`` are
+    step-major, as :func:`~qfbsde.backward.lsmc_solve` returns them.
     """
     with open(path, "rb") as fh:
         _expect_magic(fh, _MAGIC_SOLUTION, path)
         seed, m, n, d, level = _read_i8(fh, 5, "header")
         times = _read_f8(fh, n + 1, "grid times")
-        y = _read_f8(fh, m * (n + 1), "value field").reshape(m, n + 1)
-        z = _read_f8(fh, m * n * d, "control field").reshape(m, n, d)
+        y = _read_steps(fh, (n + 1, m), "value field")
+        z = _read_steps(fh, (n, m, d), "control field")
     return {
         "grid": TimeGrid(times=times), "y": y, "z": z,
         "truncation_n": UNTRUNCATED if level == 0 else level,

@@ -180,8 +180,7 @@ def _coin_ensemble(n_paths, grid, seed, n_plus):
     paths = np.stack([rng.permutation(signs) for _ in range(n + 1)],
                      axis=1)[:, :, None]
     inc = rng.normal(size=(n_paths, n, 1)) * np.sqrt(grid.deltas)[None, :, None]
-    return PathEnsemble(grid=grid, increments=inc, paths=paths, seed=seed,
-                        x0=np.zeros(1))
+    return PathEnsemble(grid=grid, increments=inc, paths=paths, seed=seed)
 
 
 @pytest.mark.parametrize("n_plus", [200, 194, 206, 183, 217])
@@ -418,7 +417,9 @@ def _assert_same_solution(a, b):
     assert a.truncation_n == b.truncation_n
     assert a.y.tobytes() == b.y.tobytes() and a.y.shape == b.y.shape
     assert a.z.tobytes() == b.z.tobytes() and a.z.shape == b.z.shape
-    assert a.y.flags.c_contiguous and a.z.flags.c_contiguous
+    # step-major: each step's column is one contiguous slab
+    assert np.swapaxes(a.y, 0, 1).flags.c_contiguous
+    assert np.swapaxes(a.z, 0, 1).flags.c_contiguous
     assert a.diagnostics.keys() == b.diagnostics.keys()
     for key, value in a.diagnostics.items():
         other = b.diagnostics[key]

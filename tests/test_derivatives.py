@@ -8,6 +8,7 @@ the anchored and anchor-free inductions produce identical floats.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -361,3 +362,33 @@ def test_malliavin_fields_are_anchored_gradient_fields(dim):
             dy[u], np.einsum("mik,mkl->mil", ny[:, u:], inv_u))
         assert np.array_equal(
             dz[u], np.einsum("mikl,mka->mial", nz[:, u:], inv_u))
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it held, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_derivative_solves_hold_little_beyond_their_output():
+    # each step is reconstructed into the output as soon as it is solved:
+    # no full reduced field and no gradient field on [u0, N] is held
+    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0, drift="sign",
+                         terminal="tanh", driver="colehopf", mollify_eps=0.1)
+    grid = TimeGrid.uniform(1.0, 64)
+    rc = RunConfig(seed=5, n_paths=2000)
+    basis = RegressionBasis(kind="piecewise_linear", bins=16,
+                            support=(-4.5, 4.5))
+    ens = simulate(prob, grid, rc.n_paths, rc.seed)
+    flow = variational_flow(prob, ens)
+    base = lsmc_solve(prob, ens, basis, 8, rc)
+    (ny, nz), peak = _traced_peak(
+        lambda: solve_gradient_bsde(prob, ens, flow, base, basis, rc))
+    assert peak <= 1.5 * (ny.nbytes + nz.nbytes)
+    (dy, dz), peak = _traced_peak(lambda: solve_malliavin_bsde(
+        prob, ens, flow, base, (0, 32, 63), basis, rc))
+    assert peak <= 1.5 * sum(a.nbytes for a in (*dy.values(), *dz.values()))

@@ -62,6 +62,24 @@ def test_brownian_prefix_invariant_in_path_count(small_grid):
     assert np.array_equal(few, many[:100])
 
 
+def test_brownian_is_the_path_major_philox_draw_stored_step_major(small_grid):
+    # reference: each 4096-path block drawn path-major from its own Philox
+    # key and scaled in place; 4096 + 300 paths cover a partial block and
+    # a partial transpose sub-block
+    m, d, seed = 4396, 2, 17
+    ref = np.empty((m, small_grid.n_steps, d))
+    for start in range(0, m, 4096):
+        key = ((start // 4096) << 64) | seed
+        gen = np.random.Generator(np.random.Philox(key=key))
+        take = min(4096, m - start)
+        ref[start:start + take] = gen.standard_normal(
+            (take, small_grid.n_steps, d))
+    ref *= np.sqrt(small_grid.deltas)[None, :, None]
+    inc = sample_brownian(small_grid, m, d, seed)
+    assert np.swapaxes(inc, 0, 1).flags.c_contiguous
+    assert inc.shape == ref.shape and inc.tobytes() == ref.tobytes()
+
+
 def test_brownian_rejects_bad_args(small_grid):
     with pytest.raises(ValidationError):
         sample_brownian(small_grid, 0, 1, seed=1)

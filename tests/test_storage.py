@@ -21,25 +21,64 @@ from qfbsde.storage import (
 )
 
 
+def _step_major(a) -> bool:
+    return np.swapaxes(a, 0, 1).flags.c_contiguous
+
+
+def _body(a) -> bytes:
+    """A path field as its container stores it: steps first, row-major."""
+    return np.swapaxes(a, 0, 1).tobytes()
+
+
 def test_ensemble_round_trip(tmp_path, small_ensemble):
     path = tmp_path / "paths.qfb"
     save_ensemble(path, small_ensemble)
     loaded = load_ensemble(path)
     assert loaded.seed == small_ensemble.seed
     assert np.array_equal(loaded.grid.times, small_ensemble.grid.times)
-    assert np.array_equal(loaded.increments, small_ensemble.increments)
-    assert np.array_equal(loaded.paths, small_ensemble.paths)
+    for got, want in ((loaded.increments, small_ensemble.increments),
+                      (loaded.paths, small_ensemble.paths)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert _step_major(got)
+    m, n, d = small_ensemble.increments.shape
+    raw = path.read_bytes()
+    assert raw[:4] == b"QFB2"
+    header = np.array([small_ensemble.seed, m, n, d], "<i8")
+    assert raw[4:36] == header.tobytes()
+    assert raw[36:] == (small_ensemble.grid.times.tobytes()
+                        + _body(small_ensemble.increments)
+                        + _body(small_ensemble.paths))
 
 
 def test_solution_round_trip(tmp_path, small_solution):
     path = tmp_path / "sol.qfs"
     save_solution(path, small_solution)
     loaded = load_solution(path)
-    assert np.array_equal(loaded["y"], small_solution.y)
-    assert np.array_equal(loaded["z"], small_solution.z)
+    for key in ("y", "z"):
+        got, want = loaded[key], getattr(small_solution, key)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert _step_major(got)
     assert np.array_equal(loaded["grid"].times, small_solution.grid.times)
     assert loaded["truncation_n"] == 6
     assert loaded["seed"] == small_solution.config.seed
+    raw = path.read_bytes()
+    assert raw[:4] == b"QFS2"
+    assert raw[44:] == (small_solution.grid.times.tobytes()
+                        + _body(small_solution.y) + _body(small_solution.z))
+
+
+def test_path_major_containers_are_rejected(tmp_path, small_ensemble,
+                                            small_solution):
+    # a path-major file is refused by its magic, before any body is read
+    for save, load, obj, old, new in (
+            (save_ensemble, load_ensemble, small_ensemble, b"QFB1", b"QFB2"),
+            (save_solution, load_solution, small_solution, b"QFS1", b"QFS2")):
+        path = tmp_path / "old.bin"
+        save(path, obj)
+        path.write_bytes(old + path.read_bytes()[4:])
+        with pytest.raises(StorageError,
+                           match=f"expected magic {new!r}, found {old!r}"):
+            load(path)
 
 
 def test_untruncated_maps_to_level_zero(tmp_path, small_ensemble,
