@@ -30,6 +30,7 @@ from .core import (
     UNTRUNCATED,
     ValidationError,
     _nested_indices,
+    _step_major,
 )
 from .backward import (
     BackwardSolution,
@@ -136,7 +137,7 @@ def zhang_zbar(
     optimality over the span, and a penalty would trade exactly that away.
 
     ``ensemble`` supplies the regression states and is required.  Returns
-    an ``(M, N_coarse, d)`` field.
+    an ``(M, N_coarse, d)`` field, step-major in memory.
     """
     if basis is None:
         basis = base.basis
@@ -148,7 +149,7 @@ def zhang_zbar(
     z = base.z
     deltas = base.grid.deltas
     m, _, d = z.shape
-    out = np.empty((m, partition.n_steps, d))
+    out = _step_major(m, partition.n_steps, d)
     for k in range(partition.n_steps):
         lo, hi = idx[k], idx[k + 1]
         w = deltas[lo:hi]
@@ -224,8 +225,8 @@ def truncation_error_curve(
     drivers only; pass ``oracle_field`` of shape ``(M, N+1)``), whose own
     noise floors the curve.
 
-    Per level the report carries the sup-over-nodes mean squared value gap
-    (with the standard error at the maximizing node) and, for the large-n
+    Per level the report carries the sup-over-nodes (before the terminal)
+    mean squared value gap, with its stderr, and, for the large-n
     reference, the time-integrated control gap in ``metadata["z_errors"]``.
     """
     levels = sorted(set(int(v) for v in n_list))
@@ -293,8 +294,9 @@ def truncation_error_curve(
 
 
 def _worst_node(sq: np.ndarray) -> tuple[float, float]:
-    """Largest node mean of the ``(M, nodes)`` squared gaps, with its stderr."""
-    node_means = sq.mean(axis=0)
+    """Largest node mean of the ``(M, N+1)`` squared value gaps, with its
+    stderr, before the terminal node, where ``Y_N = xi`` by construction."""
+    node_means = sq[:, :-1].mean(axis=0)
     i_star = int(node_means.argmax())
     return (float(node_means[i_star]),
             float(sq[:, i_star].std(ddof=1) / math.sqrt(sq.shape[0])))
@@ -326,7 +328,7 @@ def stability_experiment(
 
     Each rung is a ``(terminal, driver)`` pair (``None`` inherits the limit
     problem's own field).  Each error is the largest node mean of the
-    squared value gap, with the standard error at that node, as in
+    squared value gap before the terminal node, with its stderr, as in
     :func:`truncation_error_curve`.  The time-integrated control gap, the
     a-priori right-hand side in the same squared units (the path mean of
     ``|xi_k - xi|^2`` plus that of the time-integrated squared driver

@@ -54,7 +54,8 @@ from .backward import (
     _StepRegressor,
     lsmc_solve,
 )
-from .forward import FlowFields, PathEnsemble, malliavin_forward, simulate
+from .forward import (FlowFields, PathEnsemble, _flow_inverse, _step_factor,
+                      simulate)
 
 __all__ = [
     "DerivativeSolution",
@@ -167,7 +168,7 @@ def _gradient_steps(problem, ensemble, flow, base, basis, config, start):
     satisfies the *same* recursion, because the factor cancels out of the
     forcing (``g_x`` contracted with the factor, divided by it) and the
     one-step transition ``D_i X_{i+1} = I + dt * Jb`` is the same.
-    Concretely, with ``F_i`` the one-step factor:
+    Concretely, with ``F_i`` the flow's own one-step factor (``_step_factor``):
 
     * target:   ``T = v_{i+1} F_i``      (a function of ``X_i, X_{i+1}``),
     * value:    ``v_i = (E[T|X_i] + dt*(g_x + g_z . w_i)) / (1 - dt*g_y)``,
@@ -200,7 +201,7 @@ def _gradient_steps(problem, ensemble, flow, base, basis, config, start):
     yield n, np.einsum("mk,mkl->ml", v, nabla_x[:, n]), None
 
     for i in range(n - 1, start - 1, -1):
-        step_factor = malliavin_forward(flow, i, i + 1)
+        step_factor = _step_factor(problem, ensemble, i)
         vhat, wfit = _StepRegressor(basis, x[:, i, :]).ce_and_control(
             v, db[:, i, :], deltas[i])
         ce = np.einsum("mj,mjk->mk", vhat, step_factor)
@@ -290,8 +291,7 @@ def solve_malliavin_bsde(
     if anchors[0] < 0 or anchors[-1] >= n:
         raise ValidationError(f"anchors must lie in [0, {n - 1}]")
     m, _, d = ensemble.paths.shape
-    # each anchor's inverse flow is read at every step: gather it once
-    inv = {u: np.ascontiguousarray(flow.nabla_x_inv[:, u]) for u in anchors}
+    inv = {u: _flow_inverse(flow.nabla_x[:, u]) for u in anchors}
     dy = {u: _step_major(m, n + 1 - u, d) for u in anchors}
     dz = {u: _step_major(m, n - u, d, d) for u in anchors}
     for i, ny_i, nz_i in _gradient_steps(problem, ensemble, flow, base,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "mollify_drift",
     "FlowFields",
     "variational_flow",
-    "malliavin_forward",
     "ZvonkinTransform",
     "zvonkin_transform_1d",
     "ContinuityReport",
@@ -326,23 +326,25 @@ def _node_average(h: Callable, x, scale: float, nodes: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# First-variation flow and Malliavin forward derivative
+# First-variation flow
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FlowFields:
-    """First-variation flow ``nablaX`` and its inverse along each path.
+    """First-variation flow ``nablaX`` along each path, the one stored field.
 
-    ``nablaX[:, i]`` solves the forward Euler recursion
-    ``nablaX_{i+1} = (I + dt * Jb(t_i, X_i)) nablaX_i`` with identity start;
-    the inverse multiplies by the exact inverse of each one-step factor, so
-    it discretizes ``d(nablaX)^{-1} = -(nablaX)^{-1} Jb dt`` while keeping
-    ``nablaX_inv @ nablaX = I`` at round-off level on every node.
+    ``nablaX_{i+1} = F_i nablaX_i`` from ``nablaX_0 = I``, with ``F_i`` from
+    :func:`_step_factor`.  The Malliavin solve inverts it at anchors only.
     """
 
     grid: TimeGrid
-    nabla_x: np.ndarray      # (M, N+1, d, d)
-    nabla_x_inv: np.ndarray  # (M, N+1, d, d)
+    nabla_x: np.ndarray  # (M, N+1, d, d)
+    # bench/workloads.py reads nabla_x_inv and product_deviation; nothing in
+    # the package does.  Both go with the next benchmark change.
+    @cached_property
+    def nabla_x_inv(self) -> np.ndarray:
+        """``(nablaX)^{-1}`` on every node, inverted on first read and held."""
+        return _flow_inverse(self.nabla_x)
 
     def product_deviation(self) -> float:
         d = self.nabla_x.shape[-1]
@@ -352,13 +354,17 @@ class FlowFields:
         return float(np.abs(prod, out=prod).max())
 
 
-def variational_flow(problem: FBSDEProblem, ensemble: PathEnsemble) -> FlowFields:
-    """Pathwise first-variation flow of the forward map ``x0 -> X``.
+def _flow_inverse(a: np.ndarray) -> np.ndarray:
+    """Each trailing ``(d, d)`` matrix inverted; 1x1 by the reciprocal,
+    which is bitwise what ``np.linalg.inv`` returns."""
+    return 1.0 / a if a.shape[-1] == 1 else np.linalg.inv(a)
 
-    Requires a drift Jacobian on the problem (``drift_gradient``); rough
-    drifts must be mollified first.  The Jacobian callable maps
-    ``(t, x (M,d))`` to ``(M, d, d)``.
-    """
+
+def _step_factor(problem: FBSDEProblem, ensemble: PathEnsemble,
+                 i: int) -> np.ndarray:
+    """The one-step factor ``F_i = I + dt_i * Jb(t_i, X_i)``, ``(M, d, d)``,
+    that both the flow and the tangent inductions apply.  ``Jb`` is the
+    problem's ``drift_gradient``, else the mollified drift's own."""
     jac = problem.drift_gradient
     if jac is None:
         if isinstance(problem.drift, MollifiedDrift):
@@ -366,38 +372,27 @@ def variational_flow(problem: FBSDEProblem, ensemble: PathEnsemble) -> FlowField
         else:
             raise ValidationError(
                 "problem has no drift gradient; mollify the drift or supply one")
+    m, _, d = ensemble.paths.shape
+    grid = ensemble.grid
+    a = np.asarray(jac(grid.times[i], ensemble.paths[:, i, :]), dtype=float)
+    if a.shape != (m, d, d):
+        raise ValidationError(f"drift jacobian shape {a.shape} != {(m, d, d)}")
+    return np.eye(d) + grid.deltas[i] * a
+
+
+def variational_flow(problem: FBSDEProblem, ensemble: PathEnsemble) -> FlowFields:
+    """Pathwise first-variation flow of the forward map ``x0 -> X``.
+
+    Needs a drift Jacobian ``(t, x (M,d)) -> (M, d, d)`` (see
+    :func:`_step_factor`); rough drifts must be mollified first."""
     m, n1, d = ensemble.paths.shape
-    n = n1 - 1
-    eye = np.eye(d)
-    nabla = np.empty((m, n + 1, d, d))
-    nabla_inv = np.empty((m, n + 1, d, d))
-    nabla[:, 0] = eye
-    nabla_inv[:, 0] = eye
-    deltas = ensemble.grid.deltas
-    times = ensemble.grid.times
-    for i in range(n):
-        a = np.asarray(jac(times[i], ensemble.paths[:, i, :]), dtype=float)
-        if a.shape != (m, d, d):
-            raise ValidationError(f"drift jacobian shape {a.shape} != {(m, d, d)}")
-        step = eye + deltas[i] * a
-        nabla[:, i + 1] = np.einsum("mij,mjk->mik", step, nabla[:, i])
-        # inverse of the exact one-step factor keeps the product identity;
-        # a 1x1 factor's reciprocal is bitwise what np.linalg.inv returns
-        step_inv = 1.0 / step if d == 1 else np.linalg.inv(step)
-        nabla_inv[:, i + 1] = np.einsum("mij,mjk->mik", nabla_inv[:, i], step_inv)
-    return FlowFields(grid=ensemble.grid, nabla_x=nabla, nabla_x_inv=nabla_inv)
-
-
-def malliavin_forward(flow: FlowFields, s_index: int, t_index: int) -> np.ndarray:
-    """Malliavin derivative ``D_s X_t = nablaX_t (nablaX_s)^{-1}``, per path."""
-    if s_index > t_index:
-        raise ValidationError(
-            f"anchor index {s_index} exceeds target index {t_index}")
-    n = flow.nabla_x.shape[1] - 1
-    if not (0 <= s_index <= n and 0 <= t_index <= n):
-        raise ValidationError("indices out of range")
-    return np.einsum("mij,mjk->mik", flow.nabla_x[:, t_index],
-                     flow.nabla_x_inv[:, s_index])
+    nabla = np.empty((m, n1, d, d))
+    nabla[:, 0] = np.eye(d)
+    for i in range(n1 - 1):
+        nabla[:, i + 1] = np.einsum("mij,mjk->mik",
+                                    _step_factor(problem, ensemble, i),
+                                    nabla[:, i])
+    return FlowFields(grid=ensemble.grid, nabla_x=nabla)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ def relative_gap(a: float, b: float) -> float:
 @pytest.fixture
 def rel():
     return relative_gap
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it held, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak
 
 
 def rng(seed: int = 0) -> np.random.Generator:

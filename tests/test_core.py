@@ -320,10 +320,10 @@ PUBLIC_NAMES = [
     "describe_registry", "domination_map", "domination_oracle",
     "emit_config", "estimate_bmo", "euler_maruyama", "fd_gradient",
     "linear_oracle", "lsmc_solve", "make_drift", "make_driver",
-    "make_growth_profile", "make_terminal", "malliavin_forward",
-    "mollify_drift", "nested_mc_ce", "parse_config", "path_regularity_stat",
-    "rate_fit", "representation_check", "rho_truncate", "rho_truncate_deriv",
-    "run", "sample_brownian", "simulate", "solve_gradient_bsde",
+    "make_growth_profile", "make_terminal", "mollify_drift", "nested_mc_ce",
+    "parse_config", "path_regularity_stat", "rate_fit",
+    "representation_check", "rho_truncate", "rho_truncate_deriv", "run",
+    "sample_brownian", "simulate", "solve_gradient_bsde",
     "solve_malliavin_bsde", "stability_experiment", "stabilization_level",
     "transform_residual", "transform_tables", "truncation_error_curve",
     "upsilon1", "upsilon2", "variational_flow", "zhang_zbar",

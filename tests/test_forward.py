@@ -19,7 +19,6 @@ from qfbsde import (
     continuity_diagnostic,
     euler_maruyama,
     make_drift,
-    malliavin_forward,
     mollify_drift,
     sample_brownian,
     simulate,
@@ -313,29 +312,48 @@ def test_flow_inverse_tracks_flow(small_grid):
     assert np.allclose(flow.nabla_x[:, 1, 0, 0], step, atol=1e-15)
 
 
-def _inverse_chain(problem, ens):
-    """``nabla_x_inv`` with each one-step factor inverted by ``np.linalg.inv``."""
-    m, n1, d = ens.paths.shape
-    grid = ens.grid
-    out = np.empty((m, n1, d, d))
-    out[:, 0] = np.eye(d)
-    for i in range(n1 - 1):
-        jac = problem.drift_gradient(grid.times[i], ens.paths[:, i, :])
-        step = np.eye(d) + grid.deltas[i] * jac
-        out[:, i + 1] = np.einsum("mij,mjk->mik", out[:, i],
-                                  np.linalg.inv(step))
-    return out
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flow_steps_are_bitwise_the_shared_factor(small_grid, dim):
+    # the tangent inductions apply this same factor, so flow and tangent
+    # multiply by identical floats
+    prob = build_problem(dim=dim, x0=np.zeros(dim), horizon=1.0,
+                         drift="sign", mollify_eps=0.1, terminal="tanh",
+                         driver="zero")
+    ens = simulate(prob, small_grid, 300, seed=4)
+    flow = variational_flow(prob, ens)
+    assert np.array_equal(flow.nabla_x[:, 0],
+                          np.broadcast_to(np.eye(dim), (300, dim, dim)))
+    for i in range(small_grid.n_steps):
+        step = forward._step_factor(prob, ens, i)
+        assert step.tobytes() == (
+            np.eye(dim) + small_grid.deltas[i]
+            * prob.drift_gradient(small_grid.times[i], ens.paths[:, i])
+        ).tobytes()
+        assert flow.nabla_x[:, i + 1].tobytes() == np.einsum(
+            "mij,mjk->mik", step, flow.nabla_x[:, i]).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_flow_inverse_is_bitwise_the_inverted_factor_chain(small_grid, dim):
+def test_flow_inverse_is_the_inverted_flow_computed_once(small_grid, dim):
     # d = 1 divides instead of calling np.linalg.inv; d >= 2 still inverts
     prob = build_problem(dim=dim, x0=np.zeros(dim), horizon=1.0,
                          drift="sign", mollify_eps=0.1, terminal="tanh",
                          driver="zero")
     ens = simulate(prob, small_grid, 300, seed=4)
     flow = variational_flow(prob, ens)
-    assert flow.nabla_x_inv.tobytes() == _inverse_chain(prob, ens).tobytes()
+    assert "nabla_x_inv" not in vars(flow)  # nothing inverted up front
+    inv = flow.nabla_x_inv
+    assert inv is flow.nabla_x_inv
+    assert inv.tobytes() == np.linalg.inv(flow.nabla_x).tobytes()
+    assert flow.product_deviation() < 1e-12
+
+
+def test_flow_holds_little_beyond_its_field(traced_peak):
+    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0, drift="sign",
+                         terminal="tanh", driver="zero", mollify_eps=0.1)
+    ens = simulate(prob, TimeGrid.uniform(1.0, 64), 2000, seed=5)
+    flow, peak = traced_peak(lambda: variational_flow(prob, ens))
+    assert peak <= 1.2 * flow.nabla_x.nbytes
 
 
 def test_one_by_one_reciprocal_is_bitwise_the_inverse():
@@ -365,25 +383,6 @@ def test_flow_uses_mollified_jacobian_automatically(small_grid):
     ens = simulate(prob, small_grid, 10, seed=6)
     flow = variational_flow(prob, ens)
     assert flow.product_deviation() < 1e-10
-
-
-def test_malliavin_forward_identity_and_validation(small_grid):
-    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
-                         drift="smooth_sin", terminal="tanh", driver="zero")
-    ens = simulate(prob, small_grid, 8, seed=13)
-    flow = variational_flow(prob, ens)
-    n = small_grid.n_steps
-    ds_same = malliavin_forward(flow, 5, 5)
-    assert np.allclose(ds_same, np.eye(1)[None], atol=1e-12)
-    # semigroup property D_s X_t = D_u X_t * D_s X_u for s <= u <= t
-    a = malliavin_forward(flow, 2, n)
-    b = np.einsum("mij,mjk->mik", malliavin_forward(flow, 5, n),
-                  malliavin_forward(flow, 2, 5))
-    assert np.allclose(a, b, atol=1e-12)
-    with pytest.raises(ValidationError):
-        malliavin_forward(flow, 6, 5)
-    with pytest.raises(ValidationError):
-        malliavin_forward(flow, 0, n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,24 @@ levels = [2.0, 4.0]
     assert (out / "plot.csv").exists()
 
 
+def test_terminal_scale_ratio_reads_interior_nodes(tmp_path):
+    # Y_N = xi_k holds by construction, so a worst node taken over the
+    # terminal one would read error_to_rhs = 1 whatever the solver did
+    code, _, report = run_text("""
+[numerics]
+grid_n = 8
+paths = 500
+seed = 4
+truncation = 4
+[experiment]
+kind = "stability"
+ladder = "terminal_scale"
+levels = [2.0, 4.0, 8.0]
+""", tmp_path)
+    assert code == EXIT_PASS
+    assert all(0.0 < r < 1.0 for r in report["error_to_rhs"])
+
+
 def test_driver_cap_ladder_kind(tmp_path):
     code, _, report = run_text("""
 [numerics]
