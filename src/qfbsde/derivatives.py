@@ -156,80 +156,8 @@ def _central_difference(fn, at):
 
 
 # ---------------------------------------------------------------------------
-# Linear backward induction (shared by gradient and Malliavin solves)
+# Linear backward induction (one for the gradient and every anchor)
 # ---------------------------------------------------------------------------
-
-def _gradient_steps(problem, ensemble, flow, base, basis, config, start):
-    """``(i, nablaY_i, nablaZ_i)`` for ``i = N, N-1, .., start``, in turn.
-
-    The induction runs in reduced coordinates: the reduced value at step
-    ``i`` is the tangent field right-divided by its forward factor; for
-    both the gradient equation and every Malliavin anchor that quotient
-    satisfies the *same* recursion, because the factor cancels out of the
-    forcing (``g_x`` contracted with the factor, divided by it) and the
-    one-step transition ``D_i X_{i+1} = I + dt * Jb`` is the same.
-    Concretely, with ``F_i`` the flow's own one-step factor (``_step_factor``):
-
-    * target:   ``T = v_{i+1} F_i``      (a function of ``X_i, X_{i+1}``),
-    * value:    ``v_i = (E[T|X_i] + dt*(g_x + g_z . w_i)) / (1 - dt*g_y)``,
-    * control:  ``w_i = E[(T - E[T|X_i]) dB_i | X_i] / dt``.
-
-    ``F_i`` is a known function of ``X_i``, so it is pulled *out* of both
-    conditional expectations and applied exactly after the fit; only the
-    genuinely random next value is projected on the basis.  This matters
-    for mollified rough drifts, whose Jacobian lives on a scale far below
-    any sensible bin or polynomial resolution: left inside the regression
-    the factor gets smeared and its effect is systematically attenuated.
-
-    The reduced terminal is ``phi'(X_T)``.  ``w``'s first matrix index is
-    the state direction, the second the Brownian component.  Each step is
-    reconstructed pathwise as ``(v_i nablaX_i, nablaX_i^T w_i)`` as soon as
-    it finishes (``nablaZ_N`` is ``None``); only ``v_{i+1}`` is held from
-    one step to the next.
-    """
-    x = ensemble.paths
-    db = ensemble.increments
-    n = x.shape[1] - 1
-    deltas = ensemble.grid.deltas
-    times = ensemble.grid.times
-    nabla_x = flow.nabla_x
-    gdriver = problem.driver.truncated(base.truncation_n)
-
-    v = _terminal_gradient(problem, x[:, n, :])
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("derivative terminal value is non-finite")
-    yield n, np.einsum("mk,mkl->ml", v, nabla_x[:, n]), None
-
-    for i in range(n - 1, start - 1, -1):
-        step_factor = _step_factor(problem, ensemble, i)
-        vhat, wfit = _StepRegressor(basis, x[:, i, :]).ce_and_control(
-            v, db[:, i, :], deltas[i])
-        ce = np.einsum("mj,mjk->mk", vhat, step_factor)
-        w = np.einsum("mjk,mjl->mkl", step_factor, wfit)
-
-        gx, gy, gz = _driver_gradients(
-            gdriver, times[i], x[:, i, :], base.y[:, i], base.z[:, i, :])
-        denom = 1.0 - deltas[i] * gy
-        if np.any(np.abs(denom) < 0.1):
-            raise ValidationError(
-                f"implicit linear step ill-conditioned at step {i} "
-                "(time step too coarse for the frozen y-coefficient)")
-        # g_z contracts the Brownian component of the reduced control
-        inhom = gx + np.einsum("ml,mkl->mk", gz, w)
-        v = (ce + deltas[i] * inhom) / denom[:, None]
-
-        # the step is linear, so one division must already satisfy the
-        # implicit relation; a residual above tolerance is a real failure
-        rhs = ce + deltas[i] * (inhom + gy[:, None] * v)
-        res = float(np.abs(v - rhs).max())
-        scale = 1.0 + float(np.abs(v).max())
-        if res > max(config.picard_tol, 1e-12) * scale:
-            raise PicardDivergenceError(
-                f"linear implicit step residual {res:.3e} at step {i}",
-                step=i, residuals=[res])
-        yield (i, np.einsum("mk,mkl->ml", v, nabla_x[:, i]),
-               np.einsum("mkl,mka->mal", w, nabla_x[:, i]))
-
 
 def solve_gradient_bsde(
     problem: FBSDEProblem,
@@ -243,21 +171,15 @@ def solve_gradient_bsde(
 
     Terminal condition ``nablaY_T = phi'(X_T) nablaX_T``; the driver of the
     linear equation contracts the frozen gradients ``(g_x, g_y, g_z)`` with
-    ``(nablaX, nablaY, nablaZ)``.  The induction itself runs on the reduced
-    fields (see ``_gradient_steps``) and the returned arrays are the
-    pathwise reconstructions against ``nablaX``, step-major in memory.
+    ``(nablaX, nablaY, nablaZ)``.  Since ``nablaX_0 = I`` these are the
+    Malliavin fields anchored at 0, so this is :func:`solve_malliavin_bsde`
+    at the single anchor 0; the returned arrays are step-major in memory.
     Driver and terminal gradients fall back to central differences (step
     ``1e-5``) when analytic ones are absent.
     """
-    m, n1, d = ensemble.paths.shape
-    nabla_y = _step_major(m, n1, d)
-    nabla_z = _step_major(m, n1 - 1, d, d)
-    for i, ny_i, nz_i in _gradient_steps(problem, ensemble, flow, base,
-                                         basis, config, 0):
-        nabla_y[:, i] = ny_i
-        if nz_i is not None:
-            nabla_z[:, i] = nz_i
-    return nabla_y, nabla_z
+    dy, dz = solve_malliavin_bsde(problem, ensemble, flow, base, (0,),
+                                  basis, config)
+    return dy[0], dz[0]
 
 
 def solve_malliavin_bsde(
@@ -272,30 +194,91 @@ def solve_malliavin_bsde(
     """Malliavin fields ``(D_u Y, D_u Z)`` for each anchor index ``u``.
 
     The forward Malliavin derivative is ``D_u X_t = nablaX_t (nablaX_u)^{-1}``
-    for ``t >= u`` (diffusion coefficient is the identity).  In reduced
-    coordinates the anchor drops out of the backward equation entirely, so
-    one induction from the earliest anchor ``u0`` serves them all.  From it
-    the gradient fields on ``[u0, N]`` are reconstructed as in
-    :func:`solve_gradient_bsde`, and each anchor's fields are those times
-    one inverse flow: ``D_u Y_t = nablaY_t (nablaX_u)^{-1}`` and
-    ``D_u Z_t = (nablaX_u)^{-T} nablaZ_t`` (the representation of El Karoui,
-    Peng & Quenez, 1997).  Each step is written into every anchor's
-    step-major fields as the induction reaches it.  Fields are stored from
-    the anchor onward; the value before the anchor is identically zero and
-    never materialized.
+    for ``t >= u`` (diffusion coefficient is the identity).  The induction
+    runs in reduced coordinates: the reduced value at step ``i`` is the
+    tangent field right-divided by its forward factor.  For the gradient
+    equation and every anchor that quotient satisfies the *same*
+    recursion, because the factor cancels out of the forcing (``g_x``
+    contracted with the factor, divided by it) and the one-step transition
+    ``D_i X_{i+1} = I + dt * Jb`` is the same.  So one induction from the
+    earliest anchor ``u0`` serves them all.  With ``F_i`` the flow's own
+    one-step factor (``_step_factor``):
+
+    * target:   ``T = v_{i+1} F_i``      (a function of ``X_i, X_{i+1}``),
+    * value:    ``v_i = (E[T|X_i] + dt*(g_x + g_z . w_i)) / (1 - dt*g_y)``,
+    * control:  ``w_i = E[(T - E[T|X_i]) dB_i | X_i] / dt``.
+
+    ``F_i`` is a known function of ``X_i``, so it is pulled *out* of both
+    conditional expectations and applied exactly after the fit; only the
+    genuinely random next value is projected on the basis.  This matters
+    for mollified rough drifts, whose Jacobian lives on a scale far below
+    any sensible bin or polynomial resolution: left inside the regression
+    the factor gets smeared and its effect is systematically attenuated.
+
+    The reduced terminal is ``phi'(X_T)``.  ``w``'s first matrix index is
+    the state direction, the second the Brownian component.  Each step is
+    reconstructed pathwise as the gradient fields ``nablaY_i = v_i
+    nablaX_i`` and ``nablaZ_i = nablaX_i^T w_i`` as soon as it finishes,
+    and written into each anchor's step-major fields as those times one
+    inverse flow: ``D_u Y_t = nablaY_t (nablaX_u)^{-1}`` and
+    ``D_u Z_t = (nablaX_u)^{-T} nablaZ_t`` (the representation of El
+    Karoui, Peng & Quenez, 1997).  Only ``v_{i+1}`` is held from one step
+    to the next.  Fields are stored from the anchor onward; the value
+    before the anchor is identically zero and never materialized.
     """
-    n = ensemble.grid.n_steps
+    x = ensemble.paths
+    db = ensemble.increments
+    deltas = ensemble.grid.deltas
+    times = ensemble.grid.times
+    nabla_x = flow.nabla_x
+    m, n1, d = x.shape
+    n = n1 - 1
     anchors = tuple(sorted(set(int(u) for u in anchors)))
     if not anchors:
         raise ValidationError("need at least one anchor index")
     if anchors[0] < 0 or anchors[-1] >= n:
         raise ValidationError(f"anchors must lie in [0, {n - 1}]")
-    m, _, d = ensemble.paths.shape
-    inv = {u: _flow_inverse(flow.nabla_x[:, u]) for u in anchors}
+    inv = {u: _flow_inverse(nabla_x[:, u]) for u in anchors}
     dy = {u: _step_major(m, n + 1 - u, d) for u in anchors}
     dz = {u: _step_major(m, n - u, d, d) for u in anchors}
-    for i, ny_i, nz_i in _gradient_steps(problem, ensemble, flow, base,
-                                         basis, config, anchors[0]):
+    gdriver = problem.driver.truncated(base.truncation_n)
+
+    v = _terminal_gradient(problem, x[:, n, :])
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("derivative terminal value is non-finite")
+    w = None
+    for i in range(n, anchors[0] - 1, -1):
+        if i < n:
+            step_factor = _step_factor(problem, ensemble, i)
+            vhat, wfit = _StepRegressor(basis, x[:, i, :]).ce_and_control(
+                v, db[:, i, :], deltas[i])
+            ce = np.einsum("mj,mjk->mk", vhat, step_factor)
+            w = np.einsum("mjk,mjl->mkl", step_factor, wfit)
+
+            gx, gy, gz = _driver_gradients(
+                gdriver, times[i], x[:, i, :], base.y[:, i], base.z[:, i, :])
+            denom = 1.0 - deltas[i] * gy
+            if np.any(np.abs(denom) < 0.1):
+                raise ValidationError(
+                    f"implicit linear step ill-conditioned at step {i} "
+                    "(time step too coarse for the frozen y-coefficient)")
+            # g_z contracts the Brownian component of the reduced control
+            inhom = gx + np.einsum("ml,mkl->mk", gz, w)
+            v = (ce + deltas[i] * inhom) / denom[:, None]
+
+            # the step is linear, so one division must already satisfy the
+            # implicit relation; a residual above tolerance is a real failure
+            rhs = ce + deltas[i] * (inhom + gy[:, None] * v)
+            res = float(np.abs(v - rhs).max())
+            scale = 1.0 + float(np.abs(v).max())
+            if res > max(config.picard_tol, 1e-12) * scale:
+                raise PicardDivergenceError(
+                    f"linear implicit step residual {res:.3e} at step {i}",
+                    step=i, residuals=[res])
+
+        ny_i = np.einsum("mk,mkl->ml", v, nabla_x[:, i])
+        nz_i = (None if w is None
+                else np.einsum("mkl,mka->mal", w, nabla_x[:, i]))
         for u in anchors:
             if u > i:
                 break

@@ -1,27 +1,30 @@
-"""Persistence: flat binary containers, CSV summaries, JSON reports.
+"""Persistence: one flat binary container, CSV summaries, JSON reports.
 
-All binary files are little-endian regardless of host, with a 4-byte
-magic tag, an ``int64`` header and ``float64`` bodies in row-major
-order.  Path fields are stored step-major, as the library holds them in
+Every binary file has one layout: a 4-byte magic tag naming its kind,
+then ``seed, n_fields, n_times`` as ``int64``, the grid times as
+``float64``, and ``n_fields`` named fields.  Each field is its name
+(``int64`` length, then ASCII bytes), its ``int64`` rank and shape, and
+its ``float64`` body in row-major order.  A field of rank 2 or more is a
+path field and is stored steps first, as the library holds it in
 memory: an ``(M, N, ...)`` field is written as ``np.swapaxes(a, 0, 1)``,
-so saving and loading need no transposing copy.
+so saving and loading need no transposing copy.  All numbers are
+little-endian regardless of host.
 
-``QFB2`` — path ensemble
-    header ``seed, M, N, d``; body: grid times ``(N+1,)``, increments
-    ``(N, M, d)``, paths ``(N+1, M, d)``.
+The kinds differ only in their magic and the fields they name:
 
-``QFS2`` — backward solution
-    header ``seed, M, N, d, truncation`` (0 = untruncated); body: grid
-    times ``(N+1,)``, value field ``(N+1, M)``, control field
-    ``(N, M, d)``.
+``QFB3`` — path ensemble: ``increments`` ``(M, N, d)`` and ``paths``
+    ``(M, N+1, d)``.
+``QFS3`` — backward solution: ``y`` ``(M, N+1)``, ``z`` ``(M, N, d)`` and
+    the rank-0 ``truncation_n`` (0 = untruncated).
+``QFF2`` — named field set (derivative fields and the like): the caller's
+    own names.
 
-``QFF1`` — named field set (derivative fields and the like)
-    header ``seed, n_fields, n_grid_nodes``; body: grid times, then per
-    field a length-prefixed ASCII name, an ``int64`` rank + shape, and
-    the ``float64`` data in the field's own axis order.
-
-Files with the path-major ``QFB1``/``QFS1`` layout are rejected by their
-magic.
+A file of another kind, or of an earlier layout (``QFB1``/``QFB2``,
+``QFS1``/``QFS2``, ``QFF1``), is refused by its magic.  Every declared
+count, rank and shape is checked against the bytes left in the file
+before anything is read, and the ensemble and solution readers check
+that their fields fit the grid and each other; a corrupt file raises
+:class:`StorageError` instead of allocating what its header claims.
 
 CSV output uses RFC-4180 quoting with CRLF line endings; JSON output is
 UTF-8 with sorted keys, so identical inputs serialize byte-identically.
@@ -52,10 +55,11 @@ __all__ = [
     "write_json",
 ]
 
-_MAGIC_ENSEMBLE = b"QFB2"
-_MAGIC_SOLUTION = b"QFS2"
-_MAGIC_FIELDS = b"QFF1"
+_MAGIC_ENSEMBLE = b"QFB3"
+_MAGIC_SOLUTION = b"QFS3"
+_MAGIC_FIELDS = b"QFF2"
 
+_U1 = np.dtype("u1")
 _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
 
@@ -64,86 +68,103 @@ class StorageError(QfbsdeError):
     """Malformed or truncated container file."""
 
 
-def _write_i8(fh, *values):
-    np.asarray(values, dtype=_I8).tofile(fh)
+# ---------------------------------------------------------------------------
+# The container
+# ---------------------------------------------------------------------------
+
+def _ints(*values) -> bytes:
+    return np.array(values, dtype=_I8).tobytes()
 
 
-def _write_f8(fh, array):
-    np.ascontiguousarray(array, dtype=_F8).tofile(fh)
+def _save(path, magic, grid: TimeGrid, seed, fields: dict) -> None:
+    """Write the header, the grid times and each named field."""
+    with open(path, "wb") as fh:
+        fh.write(magic + _ints(seed, len(fields), grid.times.size))
+        np.ascontiguousarray(grid.times, dtype=_F8).tofile(fh)
+        for name, array in fields.items():
+            raw = name.encode("ascii")
+            arr = np.asarray(array, dtype=float)
+            fh.write(_ints(len(raw)) + raw + _ints(arr.ndim, *arr.shape))
+            body = np.swapaxes(arr, 0, 1) if arr.ndim >= 2 else arr
+            np.ascontiguousarray(body, dtype=_F8).tofile(fh)
 
 
-def _read_i8(fh, count, what):
-    out = np.fromfile(fh, dtype=_I8, count=count)
-    if out.size != count:
+def _read(fh, dtype, count, what) -> np.ndarray:
+    """``count`` items of ``dtype``, once the file is known to hold them."""
+    if count < 0:
+        raise StorageError(f"negative size {count} while reading {what}")
+    if count * dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
         raise StorageError(f"truncated file while reading {what}")
-    return [int(v) for v in out]
+    return np.fromfile(fh, dtype=dtype, count=count)
 
 
-def _read_f8(fh, count, what):
-    out = np.fromfile(fh, dtype=_F8, count=count)
-    if out.size != count:
-        raise StorageError(f"truncated file while reading {what}")
+def _load(path, magic) -> dict:
+    """``grid``, ``seed`` and every field of a :func:`_save` file.
+
+    Path fields come back as ``(M, N, ...)`` views of their step-major
+    bodies.
+    """
+    with open(path, "rb") as fh:
+        got = fh.read(4)
+        if got != magic:
+            raise StorageError(
+                f"{path}: expected magic {magic!r}, found {got!r}")
+        seed, n_fields, n_times = _read(fh, _I8, 3, "header").tolist()
+        if n_fields < 0:
+            raise StorageError(f"{path}: negative field count {n_fields}")
+        out = {"grid": TimeGrid(times=_read(fh, _F8, n_times, "grid times")),
+               "seed": seed}
+        for _ in range(n_fields):
+            name_len = int(_read(fh, _I8, 1, "field name length")[0])
+            raw = _read(fh, _U1, name_len, "field name").tobytes()
+            if not raw.isascii():
+                raise StorageError(f"{path}: field name {raw!r} is not ASCII")
+            name = raw.decode("ascii")
+            rank = int(_read(fh, _I8, 1, f"rank of {name}")[0])
+            shape = _read(fh, _I8, rank, f"shape of {name}").tolist()
+            if any(s < 0 for s in shape):
+                raise StorageError(f"{path}: negative shape {shape} of {name}")
+            if rank >= 2:
+                shape[0], shape[1] = shape[1], shape[0]
+            body = _read(fh, _F8, math.prod(shape), name).reshape(shape)
+            out[name] = np.swapaxes(body, 0, 1) if rank >= 2 else body
     return out
 
 
-def _write_steps(fh, array):
-    """A path field's body: the step axis first, in row-major order."""
-    _write_f8(fh, np.swapaxes(array, 0, 1))
-
-
-def _read_steps(fh, shape, what):
-    """The ``(M, N, ...)`` view of a field stored by :func:`_write_steps`."""
-    body = _read_f8(fh, math.prod(shape), what)
-    return np.moveaxis(body.reshape(shape), 0, 1)
-
-
-def _expect_magic(fh, magic, path):
-    got = fh.read(4)
-    if got != magic:
-        raise StorageError(
-            f"{path}: expected magic {magic!r}, found {got!r}")
+def _field(path, out, name, *shape) -> np.ndarray:
+    """The field ``name`` of a loaded file, which must have ``shape``
+    (``None`` matches any length)."""
+    a = out.get(name)
+    if a is None or a.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, a.shape)):
+        raise StorageError(f"{path}: expected a field {name!r} of shape "
+                           f"{shape}, found {None if a is None else a.shape}")
+    return a
 
 
 # ---------------------------------------------------------------------------
-# Ensembles
+# Ensembles, solutions and field sets
 # ---------------------------------------------------------------------------
 
 def save_ensemble(path, ensemble: PathEnsemble) -> None:
-    m, n, d = ensemble.increments.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_ENSEMBLE)
-        _write_i8(fh, ensemble.seed, m, n, d)
-        _write_f8(fh, ensemble.grid.times)
-        _write_steps(fh, ensemble.increments)
-        _write_steps(fh, ensemble.paths)
+    _save(path, _MAGIC_ENSEMBLE, ensemble.grid, ensemble.seed,
+          {"increments": ensemble.increments, "paths": ensemble.paths})
 
 
 def load_ensemble(path) -> PathEnsemble:
-    with open(path, "rb") as fh:
-        _expect_magic(fh, _MAGIC_ENSEMBLE, path)
-        seed, m, n, d = _read_i8(fh, 4, "header")
-        times = _read_f8(fh, n + 1, "grid times")
-        inc = _read_steps(fh, (n, m, d), "increments")
-        paths = _read_steps(fh, (n + 1, m, d), "paths")
-    return PathEnsemble(grid=TimeGrid(times=times), increments=inc,
-                        paths=paths, seed=seed)
+    out = _load(path, _MAGIC_ENSEMBLE)
+    n = out["grid"].n_steps
+    paths = _field(path, out, "paths", None, n + 1, None)
+    m, _, d = paths.shape
+    return PathEnsemble(grid=out["grid"], paths=paths, seed=out["seed"],
+                        increments=_field(path, out, "increments", m, n, d))
 
-
-# ---------------------------------------------------------------------------
-# Backward solutions
-# ---------------------------------------------------------------------------
 
 def save_solution(path, solution) -> None:
-    m, n1 = solution.y.shape
-    d = solution.z.shape[2]
     trunc = solution.truncation_n
-    level = 0 if trunc is UNTRUNCATED else int(trunc)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_SOLUTION)
-        _write_i8(fh, solution.config.seed, m, n1 - 1, d, level)
-        _write_f8(fh, solution.grid.times)
-        _write_steps(fh, solution.y)
-        _write_steps(fh, solution.z)
+    _save(path, _MAGIC_SOLUTION, solution.grid, solution.config.seed,
+          {"y": solution.y, "z": solution.z,
+           "truncation_n": 0 if trunc is UNTRUNCATED else int(trunc)})
 
 
 def load_solution(path) -> dict:
@@ -154,58 +175,23 @@ def load_solution(path) -> dict:
     so no :class:`BackwardSolution` is fabricated.  ``y`` and ``z`` are
     step-major, as :func:`~qfbsde.backward.lsmc_solve` returns them.
     """
-    with open(path, "rb") as fh:
-        _expect_magic(fh, _MAGIC_SOLUTION, path)
-        seed, m, n, d, level = _read_i8(fh, 5, "header")
-        times = _read_f8(fh, n + 1, "grid times")
-        y = _read_steps(fh, (n + 1, m), "value field")
-        z = _read_steps(fh, (n, m, d), "control field")
-    return {
-        "grid": TimeGrid(times=times), "y": y, "z": z,
-        "truncation_n": UNTRUNCATED if level == 0 else level,
-        "seed": seed,
-    }
+    out = _load(path, _MAGIC_SOLUTION)
+    n = out["grid"].n_steps
+    m = _field(path, out, "y", None, n + 1).shape[0]
+    _field(path, out, "z", m, n, None)
+    level = int(_field(path, out, "truncation_n"))
+    out["truncation_n"] = UNTRUNCATED if level == 0 else level
+    return out
 
-
-# ---------------------------------------------------------------------------
-# Named field sets
-# ---------------------------------------------------------------------------
 
 def save_fields(path, grid: TimeGrid, seed: int, fields: dict) -> None:
     """Store named float arrays (say, derivative fields) against a grid."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_FIELDS)
-        _write_i8(fh, int(seed), len(fields), grid.times.size)
-        _write_f8(fh, grid.times)
-        for name, array in fields.items():
-            raw = name.encode("ascii")
-            arr = np.asarray(array, dtype=float)
-            _write_i8(fh, len(raw))
-            fh.write(raw)
-            _write_i8(fh, arr.ndim, *arr.shape)
-            _write_f8(fh, arr)
+    _save(path, _MAGIC_FIELDS, grid, int(seed), fields)
 
 
 def load_fields(path) -> dict:
     """Inverse of :func:`save_fields`; adds ``grid`` and ``seed`` entries."""
-    with open(path, "rb") as fh:
-        _expect_magic(fh, _MAGIC_FIELDS, path)
-        seed, n_fields, n_times = _read_i8(fh, 3, "header")
-        times = _read_f8(fh, n_times, "grid times")
-        out = {"grid": TimeGrid(times=times), "seed": seed}
-        for _ in range(n_fields):
-            name_len = _read_i8(fh, 1, "field name length")[0]
-            name = fh.read(name_len)
-            if len(name) != name_len:
-                raise StorageError("truncated file while reading a field name")
-            rank = _read_i8(fh, 1, "field rank")[0]
-            shape = _read_i8(fh, rank, "field shape")
-            count = 1
-            for s in shape:
-                count *= s
-            out[name.decode("ascii")] = _read_f8(
-                fh, count, "field data").reshape(shape)
-    return out
+    return _load(path, _MAGIC_FIELDS)
 
 
 def solution_summary_csv(path, solution) -> None:

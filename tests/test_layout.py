@@ -27,8 +27,10 @@ from qfbsde import (
 )
 from qfbsde.storage import (
     load_ensemble,
+    load_fields,
     load_solution,
     save_ensemble,
+    save_fields,
     save_solution,
 )
 
@@ -75,12 +77,19 @@ def test_library_outputs_are_step_major(rough, quad_problem, poly_basis,
     fields = _derivatives(prob, rc, ens, base)
     assert all(_step_major(a) for a in fields)
 
+    # every container reader hands path fields back step-major
     save_ensemble(tmp_path / "e.qfb", ens)
     save_solution(tmp_path / "s.qfs", base)
+    save_fields(tmp_path / "f.qff", ens.grid, rc.seed,
+                {f"f{k}": a for k, a in enumerate(fields)})
     back = load_ensemble(tmp_path / "e.qfb")
     sol = load_solution(tmp_path / "s.qfs")
+    stored = load_fields(tmp_path / "f.qff")
     assert _step_major(back.paths) and _step_major(back.increments)
     assert _step_major(sol["y"]) and _step_major(sol["z"])
+    for k, a in enumerate(fields):
+        assert stored[f"f{k}"].tobytes() == a.tobytes()
+        assert _step_major(stored[f"f{k}"])
 
     # the ladder: swept levels, and the reference relabelled from its
     # stabilization level when the ladder did not reach it

@@ -5,6 +5,7 @@ import json
 import math
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from qfbsde import emit_config, linear_oracle, parse_config, run
@@ -314,6 +315,8 @@ fd_rel_tol = 0.2
     fields = load_fields(out / "fields.qff")
     assert fields["nabla_y"].shape == (1000, 11, 1)
     assert fields["nabla_z"].shape == (1000, 10, 1, 1)
+    for name in ("nabla_y", "nabla_z"):
+        assert np.swapaxes(fields[name], 0, 1).flags.c_contiguous, name
 
 
 def test_stability_kind(tmp_path):
