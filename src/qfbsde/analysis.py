@@ -73,7 +73,6 @@ class ConvergenceReport:
     errors: np.ndarray
     stderrs: np.ndarray
     slope: float
-    intercept: float
     r2: float
     metadata: dict = field(default_factory=dict)
 
@@ -124,24 +123,22 @@ def rate_fit(abscissae, errors) -> tuple[float, float, float]:
 def zhang_zbar(
     base: BackwardSolution,
     partition: TimeGrid,
-    basis: RegressionBasis | None = None,
     *,
     ensemble: PathEnsemble | None = None,
 ) -> np.ndarray:
     """Best block-constant approximation of the control, per coarse interval.
 
     For each interval of ``partition`` the dt-weighted time average of the
-    fine-grid ``Z`` is regressed on the state at the interval's left node;
-    the fitted values are the conditional block averages.  The fit is pure
-    least squares (no ridge): what is asserted downstream is its in-sample
-    optimality over the span, and a penalty would trade exactly that away.
+    fine-grid ``Z`` is regressed on the state at the interval's left node,
+    in the solution's own basis; the fitted values are the conditional
+    block averages.  The fit is pure least squares (no ridge): what is
+    asserted downstream is its in-sample optimality over the span, and a
+    penalty would trade exactly that away.
 
     ``ensemble`` supplies the regression states and is required.  Returns
     an ``(M, N_coarse, d)`` field, step-major in memory.
     """
-    if basis is None:
-        basis = base.basis
-    basis = replace(basis, ridge=0.0)
+    basis = replace(base.basis, ridge=0.0)
     if ensemble is None:
         raise ValidationError("zhang_zbar needs the solution's ensemble")
     x = ensemble.paths
@@ -164,7 +161,6 @@ def path_regularity_stat(
     p: float = 2.0,
     mode: str = "left_endpoint",
     *,
-    basis: RegressionBasis | None = None,
     ensemble: PathEnsemble | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the control's path-regularity modulus.
@@ -184,7 +180,7 @@ def path_regularity_stat(
     deltas = base.grid.deltas
     m = z.shape[0]
     if mode == "zbar":
-        zb = zhang_zbar(base, partition, basis, ensemble=ensemble)
+        zb = zhang_zbar(base, partition, ensemble=ensemble)
     per_path = np.zeros(m)
     for k in range(partition.n_steps):
         lo, hi = idx[k], idx[k + 1]
@@ -210,24 +206,18 @@ def truncation_error_curve(
     n_list: Sequence[int],
     config: RunConfig,
     *,
-    reference: str = "large_n",
     reference_level: int | None = None,
-    oracle_field: np.ndarray | None = None,
     _cache: dict | None = None,
 ) -> ConvergenceReport:
     """Error of the level-``n`` solutions against a reference solve.
 
-    ``reference="large_n"`` (default) solves once at
-    ``reference_level`` — twice the stabilization level unless given — on
-    the *same* ensemble, so Monte Carlo noise cancels and levels past
-    stabilization report exact zeros.  ``reference="oracle"`` compares the
-    value process against a per-node oracle field instead (transform-form
-    drivers only; pass ``oracle_field`` of shape ``(M, N+1)``), whose own
-    noise floors the curve.
+    The reference is one solve at ``reference_level`` — twice the
+    stabilization level unless given — on the *same* ensemble, so Monte
+    Carlo noise cancels and levels past stabilization report exact zeros.
 
     Per level the report carries the sup-over-nodes (before the terminal)
-    mean squared value gap, with its stderr, and, for the large-n
-    reference, the time-integrated control gap in ``metadata["z_errors"]``.
+    mean squared value gap, with its stderr, and the time-integrated
+    control gap in ``metadata["z_errors"]``.
     """
     levels = sorted(set(int(v) for v in n_list))
     if not levels:
@@ -235,62 +225,46 @@ def truncation_error_curve(
     if levels[0] < 1:
         raise ValidationError("truncation levels must be positive")
     cache = _cache if _cache is not None else {}
-    meta: dict = {"reference": reference, "n_paths": ensemble.n_paths,
-                  "seed": ensemble.seed, "basis": basis.kind}
-    if reference == "large_n":
-        if reference_level is None:
-            walk = levels + [levels[-1] + 1]
-            pending = _sweep_uncached(cache, problem, ensemble, basis, walk,
-                                      config)
-            stab = _walk_stable(cache, pending, walk)
-            if stab is NOT_FOUND:
-                raise ValidationError(
-                    "no stabilization level found below "
-                    f"{levels[-1] + 1}; pass reference_level explicitly")
-            reference_level = 2 * stab
-            meta["stabilization_level"] = stab
-            if reference_level not in cache and reference_level not in pending:
-                cache[reference_level] = _relabel(cache[stab], reference_level)
-        else:
-            pending = _sweep_uncached(cache, problem, ensemble, basis,
-                                      [int(reference_level)] + levels, config)
-        ref = _solve_cached(cache, pending, int(reference_level))
-        ref_y, ref_z = ref.y, ref.z
-        meta["reference_level"] = int(reference_level)
-    elif reference == "oracle":
-        if oracle_field is None:
-            raise ValidationError(
-                "oracle reference needs the per-node oracle field")
-        ref_y = np.asarray(oracle_field, dtype=float)
-        if ref_y.shape != (ensemble.n_paths, ensemble.grid.n_steps + 1):
-            raise ValidationError("oracle field has the wrong shape")
-        ref_z = None
-        pending = _sweep_uncached(cache, problem, ensemble, basis, levels,
+    meta: dict = {"n_paths": ensemble.n_paths, "seed": ensemble.seed,
+                  "basis": basis.kind}
+    if reference_level is None:
+        walk = levels + [levels[-1] + 1]
+        pending = _sweep_uncached(cache, problem, ensemble, basis, walk,
                                   config)
+        stab = _walk_stable(cache, pending, walk)
+        if stab is NOT_FOUND:
+            raise ValidationError(
+                "no stabilization level found below "
+                f"{levels[-1] + 1}; pass reference_level explicitly")
+        reference_level = 2 * stab
+        meta["stabilization_level"] = stab
+        if reference_level not in cache and reference_level not in pending:
+            cache[reference_level] = _relabel(cache[stab], reference_level)
     else:
-        raise ValidationError(f"unknown reference {reference!r}")
+        pending = _sweep_uncached(cache, problem, ensemble, basis,
+                                  [int(reference_level)] + levels, config)
+    ref = _solve_cached(cache, pending, int(reference_level))
+    meta["reference_level"] = int(reference_level)
 
     deltas = ensemble.grid.deltas
     m = ensemble.n_paths
     errors, stderrs, z_errors, z_stderrs = [], [], [], []
     for n in levels:
         sol = _solve_cached(cache, pending, n)
-        err, se = _worst_node((sol.y - ref_y) ** 2)
+        err, se = _worst_node((sol.y - ref.y) ** 2)
         errors.append(err)
         stderrs.append(se)
-        if ref_z is not None:
-            zgap = np.einsum("mjd,j->m", (sol.z - ref_z) ** 2, deltas)
-            z_errors.append(float(zgap.mean()))
-            z_stderrs.append(float(zgap.std(ddof=1) / math.sqrt(m)))
-    if ref_z is not None:
-        meta["z_errors"] = z_errors
-        meta["z_stderrs"] = z_stderrs
+        zgap = np.einsum("mjd,j->m", (sol.z - ref.z) ** 2, deltas)
+        z_errors.append(float(zgap.mean()))
+        z_stderrs.append(float(zgap.std(ddof=1) / math.sqrt(m)))
+    meta["z_errors"] = z_errors
+    meta["z_stderrs"] = z_stderrs
 
-    slope, intercept, r2 = _fit_positive(levels, errors)
+    slope, r2 = _fit_positive(levels, errors)
     return ConvergenceReport(
         experiment="truncation", abscissae=np.asarray(levels, dtype=float),
         errors=np.asarray(errors), stderrs=np.asarray(stderrs),
-        slope=slope, intercept=intercept, r2=r2, metadata=meta)
+        slope=slope, r2=r2, metadata=meta)
 
 
 def _worst_node(sq: np.ndarray) -> tuple[float, float]:
@@ -303,12 +277,15 @@ def _worst_node(sq: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_positive(abscissae, errors):
+    """``(slope, r2)`` of :func:`rate_fit` on the strictly positive errors,
+    NaN when fewer than three remain."""
     a = np.asarray(abscissae, dtype=float)
     e = np.asarray(errors, dtype=float)
     keep = e > 0.0
     if keep.sum() < 3:
-        return float("nan"), float("nan"), float("nan")
-    return rate_fit(a[keep], e[keep])
+        return float("nan"), float("nan")
+    slope, _, r2 = rate_fit(a[keep], e[keep])
+    return slope, r2
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +364,8 @@ def stability_experiment(
         "seed": ensemble.seed,
     }
     rungs = np.arange(1.0, len(ladder) + 1.0)
-    slope, intercept, r2 = _fit_positive(rungs, errors)
+    slope, r2 = _fit_positive(rungs, errors)
     return ConvergenceReport(
         experiment="stability", abscissae=rungs,
         errors=np.asarray(errors), stderrs=np.asarray(stderrs),
-        slope=slope, intercept=intercept, r2=r2, metadata=meta)
+        slope=slope, r2=r2, metadata=meta)

@@ -514,17 +514,13 @@ def _picard(gdriver, t, x_i, ce, z_i, dt, config, i):
 # BMO-type estimator and bound audits
 # ---------------------------------------------------------------------------
 
-def estimate_bmo(
-    solution: BackwardSolution,
-    ensemble: PathEnsemble,
-    basis: RegressionBasis | None = None,
-) -> float:
+def estimate_bmo(solution: BackwardSolution, ensemble: PathEnsemble) -> float:
     """Grid-proxy BMO estimator of the control process.
 
     For each node ``t_i`` the tail energy ``sum_{j>=i} |Z_j|^2 dt_j`` is
-    regressed on the state ``X_{t_i}``; the estimator is the square root of
-    the largest fitted value over all nodes and paths (negative fitted
-    values are floored at zero before the root).
+    regressed on the state ``X_{t_i}`` in the solution's own basis; the
+    estimator is the square root of the largest fitted value over all nodes
+    and paths (negative fitted values are floored at zero before the root).
 
     Bias note: this is a *grid* proxy — the supremum runs over grid nodes
     and simulated states only, and the conditional expectation is a
@@ -533,8 +529,6 @@ def estimate_bmo(
     sparsely visited states).  It is an audit statistic, not an estimator
     with a proven rate.
     """
-    if basis is None:
-        basis = solution.basis
     x = ensemble.paths
     z = solution.z
     deltas = solution.grid.deltas
@@ -543,7 +537,7 @@ def estimate_bmo(
     worst = 0.0
     for i in range(n - 1, -1, -1):
         tail = tail + np.sum(z[:, i, :] ** 2, axis=1) * deltas[i]
-        fitted = _StepRegressor(basis, x[:, i, :]).project(tail)
+        fitted = _StepRegressor(solution.basis, x[:, i, :]).project(tail)
         worst = max(worst, float(fitted.max()))
     return math.sqrt(max(worst, 0.0))
 
@@ -573,7 +567,6 @@ def apriori_check(
     *,
     y_slack: float = 0.01,
     bmo_slack: float = 0.10,
-    use_proof_integrand: bool = False,
 ) -> BoundsReport:
     """Audit the solved fields against the closed-form a-priori budgets.
 
@@ -584,7 +577,7 @@ def apriori_check(
     solution, not its simulation.
     """
     y_bound = problem.y_sup_bound()
-    bmo_sq_bound = problem.z_bmo_bound(use_proof_integrand=use_proof_integrand)
+    bmo_sq_bound = problem.z_bmo_bound()
     y_obs = float(solution.diagnostics["sup_y_node"])
     bmo_obs = estimate_bmo(solution, ensemble)
     bmo_bound = math.sqrt(bmo_sq_bound)

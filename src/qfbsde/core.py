@@ -158,8 +158,6 @@ def upsilon2(
     lambda_z: float,
     horizon: float,
     f: Callable[[np.ndarray], np.ndarray],
-    *,
-    use_proof_integrand: bool = False,
 ) -> float:
     """Square BMO-type budget for the control process.
 
@@ -169,12 +167,9 @@ def upsilon2(
 
     with ``U = ups1`` and ``Q`` the integral over ``[0, U]`` of the weight
     ``1 + lambda_z * f(u)`` (composite trapezoid with ``_UPSILON2_PANELS``
-    panels).
-
-    ``use_proof_integrand=True`` switches the weight to
-    ``lambda_z * (1 + f(u))``, the variant that appears when the estimate is
-    derived by the change-of-variable argument; the two coincide only when
-    ``lambda_z = 1``.  The default is the directly stated form.
+    panels).  This is the directly stated form; the change-of-variable
+    proof carries the weight ``lambda_z * (1 + f(u))`` instead, which
+    differs unless ``lambda_z = 1``.
     """
     for name, v in (("ups1", ups1), ("lambda0", lambda0), ("lambda_y", lambda_y),
                     ("lambda_z", lambda_z), ("horizon", horizon)):
@@ -188,8 +183,7 @@ def upsilon2(
         fu = np.broadcast_to(fu, u.shape).astype(float)
     if np.any(fu < 0) or not np.all(np.isfinite(fu)):
         raise ValidationError("f must be finite and nonnegative on [0, ups1]")
-    weight = lambda_z * (1.0 + fu) if use_proof_integrand else 1.0 + lambda_z * fu
-    q = float(np.trapezoid(weight, u))
+    q = float(np.trapezoid(1.0 + lambda_z * fu, u))
     lead = 2.0 * ups1 * (ups1 + horizon * (lambda0 + lambda_z + lambda_y * ups1))
     return lead * math.exp(4.0 * q)
 
@@ -412,7 +406,6 @@ class FBSDEProblem:
     driver: DriverSpec
     horizon: float
     terminal_bound: float = np.inf
-    terminal_lipschitz: float = np.inf
     drift_bound: float = np.inf
     drift_gradient: Callable | None = None
     terminal_gradient: Callable | None = None
@@ -444,11 +437,11 @@ class FBSDEProblem:
         return upsilon1(self.terminal_bound, self.driver.lambda0,
                         self.driver.lambda_y, self.horizon)
 
-    def z_bmo_bound(self, **kwargs) -> float:
+    def z_bmo_bound(self) -> float:
         """The upsilon2 budget instantiated for this problem."""
         u1 = self.y_sup_bound()
         return upsilon2(u1, self.driver.lambda0, self.driver.lambda_y,
-                        self.driver.lambda_z, self.horizon, self.driver.f, **kwargs)
+                        self.driver.lambda_z, self.horizon, self.driver.f)
 
 
 @dataclass(frozen=True)

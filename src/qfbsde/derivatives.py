@@ -23,7 +23,9 @@ against the flow as each step finishes.
 Because the equations are linear, the implicit Euler step has a closed form
 (one division instead of a Picard loop); the residual of the implicit
 relation is still checked and a violation raises, which would flag a grid
-too coarse for the frozen coefficients.
+too coarse for the frozen coefficients.  Non-finite driver gradients raise
+before they reach the step, and a non-finite residual raises like a large
+one.
 
 The identity audits compare the three representation relations that tie the
 fields together (Malliavin vs. gradient, control vs. gradient, and their
@@ -257,6 +259,9 @@ def solve_malliavin_bsde(
 
             gx, gy, gz = _driver_gradients(
                 gdriver, times[i], x[:, i, :], base.y[:, i], base.z[:, i, :])
+            if not all(np.all(np.isfinite(g)) for g in (gx, gy, gz)):
+                raise ValidationError(
+                    f"driver gradient produced non-finite values at step {i}")
             denom = 1.0 - deltas[i] * gy
             if np.any(np.abs(denom) < 0.1):
                 raise ValidationError(
@@ -267,11 +272,12 @@ def solve_malliavin_bsde(
             v = (ce + deltas[i] * inhom) / denom[:, None]
 
             # the step is linear, so one division must already satisfy the
-            # implicit relation; a residual above tolerance is a real failure
+            # implicit relation; a residual above tolerance, or NaN, is a
+            # real failure
             rhs = ce + deltas[i] * (inhom + gy[:, None] * v)
             res = float(np.abs(v - rhs).max())
             scale = 1.0 + float(np.abs(v).max())
-            if res > max(config.picard_tol, 1e-12) * scale:
+            if not res <= max(config.picard_tol, 1e-12) * scale:
                 raise PicardDivergenceError(
                     f"linear implicit step residual {res:.3e} at step {i}",
                     step=i, residuals=[res])

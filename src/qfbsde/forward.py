@@ -39,7 +39,6 @@ __all__ = [
 _BLOCK = 4096
 _TRANSPOSE_PATHS = 256  # paths per sub-block of a transposed Philox block
 _NODE_AVERAGE_POINTS = 1 << 20  # shifted points per block of _node_average
-_SCHEME = f"philox4x64-block{_BLOCK}"
 _MASK64 = (1 << 64) - 1
 
 
@@ -54,15 +53,12 @@ class PathEnsemble:
     ``increments`` has shape ``(M, N, d)`` (Brownian increments per step),
     ``paths`` has shape ``(M, N+1, d)``.  Both are step-major in memory
     when this module made them: ``paths[:, i]`` is one contiguous slab.
-    ``scheme`` records the substream convention used to draw the noise so
-    persisted ensembles are self-describing.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     paths: np.ndarray
     seed: int
-    scheme: str = _SCHEME
 
     @property
     def n_paths(self) -> int:
@@ -364,7 +360,8 @@ def _step_factor(problem: FBSDEProblem, ensemble: PathEnsemble,
                  i: int) -> np.ndarray:
     """The one-step factor ``F_i = I + dt_i * Jb(t_i, X_i)``, ``(M, d, d)``,
     that both the flow and the tangent inductions apply.  ``Jb`` is the
-    problem's ``drift_gradient``, else the mollified drift's own."""
+    problem's ``drift_gradient``, else the mollified drift's own.  Raises
+    :class:`DriftEvaluationError` when the Jacobian is not finite."""
     jac = problem.drift_gradient
     if jac is None:
         if isinstance(problem.drift, MollifiedDrift):
@@ -377,6 +374,9 @@ def _step_factor(problem: FBSDEProblem, ensemble: PathEnsemble,
     a = np.asarray(jac(grid.times[i], ensemble.paths[:, i, :]), dtype=float)
     if a.shape != (m, d, d):
         raise ValidationError(f"drift jacobian shape {a.shape} != {(m, d, d)}")
+    if not np.all(np.isfinite(a)):
+        raise DriftEvaluationError("drift jacobian produced non-finite "
+                                   f"values at t={grid.times[i]:.6g}")
     return np.eye(d) + grid.deltas[i] * a
 
 
@@ -545,13 +545,10 @@ def zvonkin_transform_1d(
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    """Coupled two-point moment ratios for the forward flow."""
+    """Coupled two-point moment ratios for the forward flow, one per pair."""
 
-    pairs: list
     ratios: np.ndarray
     std_errors: np.ndarray
-    n_paths: int
-    n_steps: int
 
     @property
     def max_ratio(self) -> float:
@@ -607,8 +604,7 @@ def continuity_diagnostic(
                  + float(np.sum((xv - yv) ** 2)))
         ratios[idx] = sq.mean() / denom
         errs[idx] = sq.std(ddof=1) / math.sqrt(n_paths) / denom
-    return ContinuityReport(pairs=pairs, ratios=ratios, std_errors=errs,
-                            n_paths=n_paths, n_steps=n_steps)
+    return ContinuityReport(ratios=ratios, std_errors=errs)
 
 
 def _state_at(problem, grid, inc, start, i):

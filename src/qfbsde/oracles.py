@@ -4,10 +4,11 @@ Three routes, deliberately disjoint from the regression machinery:
 
 * :func:`domination_oracle` — drivers of the exact form ``f(y)|z|^2`` admit a
   monotone transform ``u`` with ``u'' = 2 f u'`` under which ``u(Y)`` is a
-  martingale, so ``Y_t = u^{-1}(E[u(phi(X_T)) | F_t])``.  With zero drift the
-  conditional expectation is a Gaussian integral evaluated by Gauss–Hermite
-  quadrature; otherwise it is nested Monte Carlo (:func:`nested_mc_ce`).
-* :func:`linear_oracle` — drivers ``a y + c·z + h(t, x)`` integrate in closed
+  martingale, so ``Y_t = u^{-1}(E[u(phi(X_T)) | F_t])``.  With a declared
+  zero drift the conditional expectation is a Gaussian integral evaluated
+  by Gauss–Hermite quadrature; otherwise it is nested Monte Carlo
+  (:func:`nested_mc_ce`).
+* :func:`linear_oracle` — drivers ``a y + c·z`` integrate in closed
   form after a measure shift: simulate under drift ``b + c`` and discount.
 * :func:`nested_mc_ce` — brute-force conditional expectations by re-simulating
   from each outer state, with deterministic per-state substreams.
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 _DOMINATION_POINTS = 20001  # odd, so the symmetric table grid contains 0
+# the linear oracle's Monte Carlo: Euler steps, paths and seed
+_LINEAR_STEPS = 64
+_LINEAR_PATHS = 100_000
+_LINEAR_SEED = 40961
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +130,12 @@ class OracleResult:
     stderr: float
     y_field: np.ndarray | None = None       # (M, len(time_indices))
     time_indices: tuple[int, ...] | None = None
-    mapping: DominationMap | None = None
 
 
 def domination_oracle(
     problem: FBSDEProblem,
     *,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
     quad_points: int = 64,
-    table_range: float | None = None,
     ensemble: PathEnsemble | None = None,
     time_indices: Sequence[int] | None = None,
     inner_paths: int = 4000,
@@ -142,35 +144,39 @@ def domination_oracle(
 ) -> OracleResult:
     """Closed-form-by-transform solution for drivers ``g = f(y) |z|^2``.
 
-    ``f`` defaults to the problem driver's own ``f`` evaluated at ``|y|``
-    (correct whenever the driver really is ``f(|y|)|z|^2`` with the solution
-    staying on one side, and for even ``f`` always); pass it explicitly for
-    signed variants.
+    ``f`` is the problem driver's own ``f`` evaluated at ``|y|`` (correct
+    whenever the driver really is ``f(|y|)|z|^2`` with the solution staying
+    on one side, and for even ``f`` always), tabulated on the terminal's
+    bound.
 
     Value and field are one conditional expectation
     ``E[u(phi(X_T)) | X_{t_i} = x]``: ``y0`` is the field at ``x0`` on node 0
     of ``TimeGrid.uniform(T, inner_steps)``, and with ``ensemble`` and
     ``time_indices`` the field at those nodes is returned per outer path as
-    ``y_field``.  With ``b == 0`` the expectation is the tensor Gauss–Hermite
-    rule of :func:`~qfbsde.forward.mollify_drift` (``quad_points**d``
-    terminal evaluations per state, at most 300 000); otherwise it is
-    :func:`nested_mc_ce` (``inner_paths >= 100`` branches per state).
+    ``y_field``.  The expectation is the tensor Gauss–Hermite rule of
+    :func:`~qfbsde.forward.mollify_drift` (``quad_points**d`` terminal
+    evaluations per state, at most 300 000) when the problem declares
+    ``drift_bound == 0`` and its drift reads zero at ``x0`` and ``x0 +/- 1``
+    at times 0, T/2 and T; otherwise it is :func:`nested_mc_ce`
+    (``inner_paths >= 100`` branches per state).  The declaration decides:
+    a few probe points cannot see a drift that vanishes exactly there, as
+    ``tanh(3(x^3 - x))`` does at 0 and +/-1.  The probe stays because
+    :meth:`~qfbsde.core.FBSDEProblem.with_drift` keeps the bound of the
+    drift it replaces.
     """
     if not math.isfinite(problem.terminal_bound):
         raise ValidationError(
             f"domination oracle needs a bounded terminal, but {problem.label!r} "
             f"has an unbounded one (terminal_bound={problem.terminal_bound})")
-    if f is None:
-        if problem.driver.f is None:
-            raise ValidationError(
-                "driver carries no f; pass one explicitly")
-        f_raw = problem.driver.f
-        f = lambda y: np.asarray(f_raw(np.abs(y)), dtype=float)  # noqa: E731
-    rng_bound = problem.terminal_bound * 1.000001 + 1e-9
+    f_raw = problem.driver.f
+    if f_raw is None:
+        raise ValidationError("driver carries no growth profile f")
     mapping = domination_map(
-        f, table_range if table_range is not None else rng_bound)
+        lambda y: np.asarray(f_raw(np.abs(y)), dtype=float),
+        problem.terminal_bound * 1.000001 + 1e-9)
     x0 = np.asarray(problem.x0, dtype=float)
-    drift_free = _is_zero_drift(problem, x0, problem.horizon)
+    drift_free = (problem.drift_bound == 0.0
+                  and _is_zero_drift(problem, x0, problem.horizon))
 
     def y_at(states, i, grid):
         u_cond, se = _conditional_u(states, i, grid, problem, mapping,
@@ -193,7 +199,7 @@ def domination_oracle(
         for col, i in enumerate(idx_out):
             y_field[:, col] = y_at(ensemble.paths[:, i, :], i, ensemble.grid)[0]
     return OracleResult(y0=y0, stderr=stderr, y_field=y_field,
-                        time_indices=idx_out, mapping=mapping)
+                        time_indices=idx_out)
 
 
 def _is_zero_drift(problem: FBSDEProblem, x0: np.ndarray, t: float) -> bool:
@@ -222,45 +228,27 @@ def _conditional_u(states, i, grid, problem, mapping, drift_free,
     return est, np.zeros_like(est)
 
 
-def linear_oracle(
-    problem: FBSDEProblem,
-    a: float,
-    c,
-    h: Callable[[float, np.ndarray], np.ndarray] | None,
-    *,
-    n_steps: int = 64,
-    n_paths: int = 100_000,
-    seed: int = 40961,
-) -> OracleResult:
-    """Closed form for linear drivers ``g = a y + c·z + h(t, x)``.
+def linear_oracle(problem: FBSDEProblem, a: float, c) -> OracleResult:
+    """Closed form for linear drivers ``g = a y + c·z``.
 
     The ``c·z`` term is a Girsanov tilt: simulating the forward state with
-    drift ``b + c`` absorbs it, leaving
-    ``Y_0 = E[e^{aT} phi(X~_T) + int_0^T e^{as} h(s, X~_s) ds]``
-    under the shifted dynamics.  The time integral is a trapezoid along each
-    path, so a deterministic ``h`` is integrated at quadrature accuracy.
+    drift ``b + c`` absorbs it, leaving ``Y_0 = E[e^{aT} phi(X~_T)]`` under
+    the shifted dynamics, estimated from 100 000 Euler paths on 64 steps
+    (seed 40961).
     """
     c_vec = np.zeros(problem.dim) + np.asarray(c, dtype=float)
     shifted = problem.with_drift(
         lambda t, x, _b=problem.drift, _c=c_vec: np.asarray(
             _b(t, x), dtype=float) + _c,
         label=f"{problem.label or 'problem'}+girsanov-shift")
-    grid = TimeGrid.uniform(problem.horizon, n_steps)
-    inc = sample_brownian(grid, n_paths, problem.dim, seed)
-    paths = euler_maruyama(shifted, grid, inc, seed=seed).paths
-
-    t_total = problem.horizon
-    per_path = math.exp(a * t_total) * np.asarray(
+    grid = TimeGrid.uniform(problem.horizon, _LINEAR_STEPS)
+    inc = sample_brownian(grid, _LINEAR_PATHS, problem.dim, _LINEAR_SEED)
+    paths = euler_maruyama(shifted, grid, inc, seed=_LINEAR_SEED).paths
+    per_path = math.exp(a * problem.horizon) * np.asarray(
         problem.terminal(paths[:, -1, :]), dtype=float)
-    if h is not None:
-        times = grid.times
-        hv = np.stack(
-            [np.exp(a * t) * np.asarray(h(t, paths[:, i, :]), dtype=float)
-             for i, t in enumerate(times)], axis=1)
-        per_path = per_path + np.trapezoid(hv, times, axis=1)
     return OracleResult(
         y0=float(per_path.mean()),
-        stderr=float(per_path.std(ddof=1) / math.sqrt(n_paths)))
+        stderr=float(per_path.std(ddof=1) / math.sqrt(_LINEAR_PATHS)))
 
 
 def nested_mc_ce(

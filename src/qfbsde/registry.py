@@ -161,7 +161,7 @@ EXACT_SMOOTHINGS = {
 # Terminal conditions
 # ---------------------------------------------------------------------------
 #
-# Factories return (callable, sup_bound, lipschitz, gradient_or_None);
+# Factories return (callable, sup_bound, gradient_or_None);
 # the callable maps x[M,d] -> (M,), the gradient x[M,d] -> (M,d).
 
 def _terminal_tanh():
@@ -176,7 +176,7 @@ def _terminal_tanh():
         out[:, 0] = 1.0 / np.cosh(x[:, 0]) ** 2
         return out
 
-    return phi, 1.0, 1.0, grad
+    return phi, 1.0, grad
 
 
 def _terminal_clip(level: float = 1.0):
@@ -187,7 +187,7 @@ def _terminal_clip(level: float = 1.0):
     def phi(x, _l=float(level)):
         return np.clip(np.atleast_2d(np.asarray(x, dtype=float))[:, 0], -_l, _l)
 
-    return phi, float(level), 1.0, None
+    return phi, float(level), None
 
 
 def _terminal_constant(c: float = 1.0):
@@ -199,7 +199,7 @@ def _terminal_constant(c: float = 1.0):
     def grad(x):
         return np.zeros_like(np.atleast_2d(np.asarray(x, dtype=float)))
 
-    return phi, abs(float(c)), 0.0, grad
+    return phi, abs(float(c)), grad
 
 
 def _terminal_coordinate():
@@ -214,7 +214,7 @@ def _terminal_coordinate():
         out[:, 0] = 1.0
         return out
 
-    return phi, math.inf, 1.0, grad
+    return phi, math.inf, grad
 
 
 TERMINALS = {
@@ -378,7 +378,7 @@ def make_drift(name: str, params: dict | None = None):
 
 
 def make_terminal(name: str, params: dict | None = None):
-    """Resolve a terminal name to ``(callable, bound, lipschitz, gradient)``."""
+    """Resolve a terminal name to ``(callable, bound, gradient)``."""
     return _instantiate(TERMINALS, "terminal", name, dict(params or {}))
 
 
@@ -418,7 +418,7 @@ def build_problem(
     takes ``mollify_quad_points`` Gauss–Hermite nodes per dimension.
     """
     b, b_jac, b_bound = make_drift(drift, drift_params)
-    phi, phi_bound, phi_lip, phi_grad = make_terminal(terminal, terminal_params)
+    phi, phi_bound, phi_grad = make_terminal(terminal, terminal_params)
     spec = make_driver(driver, driver_params)
     label = f"{drift}+{driver}+{terminal}"
     if mollify_eps > 0.0:
@@ -432,8 +432,7 @@ def build_problem(
     x0_vec = np.zeros(dim) + np.asarray(x0, dtype=float)
     return FBSDEProblem(
         dim=dim, x0=x0_vec, drift=b, terminal=phi, driver=spec,
-        horizon=float(horizon), terminal_bound=phi_bound,
-        terminal_lipschitz=phi_lip, drift_bound=b_bound,
+        horizon=float(horizon), terminal_bound=phi_bound, drift_bound=b_bound,
         drift_gradient=b_jac, terminal_gradient=phi_grad, label=label)
 
 

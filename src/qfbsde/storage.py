@@ -22,8 +22,9 @@ The kinds differ only in their magic and the fields they name:
 A file of another kind, or of an earlier layout (``QFB1``/``QFB2``,
 ``QFS1``/``QFS2``, ``QFF1``), is refused by its magic.  Every declared
 count, rank and shape is checked against the bytes left in the file
-before anything is read, and the ensemble and solution readers check
-that their fields fit the grid and each other; a corrupt file raises
+before anything is read, the stored times must form a time grid, and the
+ensemble and solution readers check that their fields fit the grid and
+each other; a corrupt file raises
 :class:`StorageError` instead of allocating what its header claims.
 
 CSV output uses RFC-4180 quoting with CRLF line endings; JSON output is
@@ -39,7 +40,7 @@ import os
 
 import numpy as np
 
-from .core import QfbsdeError, TimeGrid, UNTRUNCATED
+from .core import QfbsdeError, TimeGrid, UNTRUNCATED, ValidationError
 from .forward import PathEnsemble
 
 __all__ = [
@@ -112,8 +113,12 @@ def _load(path, magic) -> dict:
         seed, n_fields, n_times = _read(fh, _I8, 3, "header").tolist()
         if n_fields < 0:
             raise StorageError(f"{path}: negative field count {n_fields}")
-        out = {"grid": TimeGrid(times=_read(fh, _F8, n_times, "grid times")),
-               "seed": seed}
+        times = _read(fh, _F8, n_times, "grid times")
+        try:
+            grid = TimeGrid(times=times)
+        except ValidationError as exc:
+            raise StorageError(f"{path}: stored grid: {exc}") from exc
+        out = {"grid": grid, "seed": seed}
         for _ in range(n_fields):
             name_len = int(_read(fh, _I8, 1, "field name length")[0])
             raw = _read(fh, _U1, name_len, "field name").tobytes()

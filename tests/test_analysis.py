@@ -46,21 +46,20 @@ def test_convergence_report_validation():
     e = np.array([0.4, 0.1, 0.0])  # exact zeros are legitimate plateaus
     s = np.zeros(3)
     rep = ConvergenceReport(experiment="x", abscissae=a, errors=e, stderrs=s,
-                            slope=-2.0, intercept=0.0, r2=1.0)
+                            slope=-2.0, r2=1.0)
     with pytest.raises(ValidationError):
         ConvergenceReport(experiment="x", abscissae=a[::-1], errors=e,
-                          stderrs=s, slope=0.0, intercept=0.0, r2=0.0)
+                          stderrs=s, slope=0.0, r2=0.0)
     with pytest.raises(ValidationError):
         ConvergenceReport(experiment="x", abscissae=np.array([0.0, 1.0, 2.0]),
-                          errors=e, stderrs=s, slope=0.0, intercept=0.0,
-                          r2=0.0)
+                          errors=e, stderrs=s, slope=0.0, r2=0.0)
     with pytest.raises(ValidationError):
         ConvergenceReport(experiment="x", abscissae=a,
                           errors=np.array([0.1, -0.2, 0.3]), stderrs=s,
-                          slope=0.0, intercept=0.0, r2=0.0)
+                          slope=0.0, r2=0.0)
     with pytest.raises(ValidationError):
         ConvergenceReport(experiment="x", abscissae=a, errors=e[:2],
-                          stderrs=s, slope=0.0, intercept=0.0, r2=0.0)
+                          stderrs=s, slope=0.0, r2=0.0)
 
 
 def test_rate_fit_recovers_exact_power_law():
@@ -232,24 +231,6 @@ def test_truncation_curve_raises_only_what_it_reaches(poly_basis):
     assert sorted(cache) == [1, 2, 4, 6]
 
 
-def test_truncation_curve_oracle_reference(quad_problem, poly_basis):
-    grid = TimeGrid.uniform(1.0, 10)
-    rc = RunConfig(seed=3, n_paths=2000)
-    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
-    field = np.zeros((2000, 11))
-    with pytest.raises(ValidationError):
-        truncation_error_curve(quad_problem, ens, poly_basis, [2, 4], rc,
-                               reference="oracle")
-    with pytest.raises(ValidationError):
-        truncation_error_curve(quad_problem, ens, poly_basis, [2, 4], rc,
-                               reference="oracle", oracle_field=field[:, :5])
-    rep = truncation_error_curve(quad_problem, ens, poly_basis, [2, 4], rc,
-                                 reference="oracle", oracle_field=field)
-    # against an all-zero "oracle" the error is just the solution magnitude
-    assert np.all(rep.errors > 0)
-    assert "z_errors" not in rep.metadata
-
-
 def test_truncation_curve_validation(quad_problem, poly_basis, small_ensemble,
                                      small_config):
     with pytest.raises(ValidationError):
@@ -258,9 +239,6 @@ def test_truncation_curve_validation(quad_problem, poly_basis, small_ensemble,
     with pytest.raises(ValidationError):
         truncation_error_curve(quad_problem, small_ensemble, poly_basis,
                                [0, 2], small_config)
-    with pytest.raises(ValidationError):
-        truncation_error_curve(quad_problem, small_ensemble, poly_basis,
-                               [2, 4], small_config, reference="median")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import warnings
 
@@ -144,12 +146,11 @@ def test_upsilon1_monotone_in_every_argument():
 def test_upsilon2_zero_and_variants():
     f = lambda u: np.full_like(u, 0.5)  # noqa: E731
     assert upsilon2(0.0, 1.0, 1.0, 1.0, 1.0, f) == 0.0
-    stated = upsilon2(1.0, 0.0, 0.0, 1.0, 1.0, f)
-    proof = upsilon2(1.0, 0.0, 0.0, 1.0, 1.0, f, use_proof_integrand=True)
-    # with lambda_z = 1 the two integrands coincide
-    assert math.isclose(stated, proof, rel_tol=1e-12)
-    assert upsilon2(1.0, 0.0, 0.0, 2.0, 1.0, f) \
-        != upsilon2(1.0, 0.0, 0.0, 2.0, 1.0, f, use_proof_integrand=True)
+    # the stated weight 1 + lambda_z f integrates exactly for constant f
+    for lz in (1.0, 2.0):
+        closed = 2.0 * (1.0 + lz) * math.exp(4.0 * (1.0 + 0.5 * lz))
+        assert math.isclose(upsilon2(1.0, 0.0, 0.0, lz, 1.0, f), closed,
+                            rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +336,136 @@ def test_public_surface_is_pinned_and_resolves():
     import qfbsde
     assert sorted(qfbsde.__all__) == PUBLIC_NAMES
     assert all(hasattr(qfbsde, name) for name in qfbsde.__all__)
+
+
+# Parameter names of every public callable and field names of every public
+# dataclass; a class's own public methods are listed as ``Class.method``
+# (without ``self``).  A setting added or removed shows up here.
+PUBLIC_SIGNATURES = {
+    "BackwardSolution": "grid y z truncation_n basis config diagnostics",
+    "BoundsReport": (
+        "y_bound y_observed y_slack y_ok bmo_bound bmo_observed bmo_slack "
+        "bmo_ok"),
+    "ConfigError": "diagnostics",
+    "ContinuityReport": "ratios std_errors",
+    "ConvergenceReport": (
+        "experiment abscissae errors stderrs slope r2 metadata"),
+    "DerivativeSolution": "anchors nabla_y nabla_z dy dz",
+    "DerivativeSolution.dy_at": "u i",
+    "DerivativeSolution.dz_at": "u i",
+    "Diagnostic": "line key reason",
+    "DominationMap": "xs u_values u_prime",
+    "DominationMap.inverse": "values",
+    "DominationMap.u": "x",
+    "DriverSpec": "g lambda0 lambda_y lambda_z alpha f name grad",
+    "DriverSpec.truncated": "n",
+    "ExperimentConfig": "problem numerics experiment output",
+    "ExperimentConfig.basis": "",
+    "ExperimentConfig.build_problem": "",
+    "ExperimentConfig.grid": "",
+    "ExperimentConfig.run_config": "",
+    "ExperimentConfig.truncation": "",
+    "FBSDEProblem": (
+        "dim x0 drift terminal driver horizon terminal_bound drift_bound "
+        "drift_gradient terminal_gradient label"),
+    "FBSDEProblem.with_drift": "drift gradient bound label",
+    "FBSDEProblem.y_sup_bound": "",
+    "FBSDEProblem.z_bmo_bound": "",
+    "FdGradient": "value stderr h",
+    "FlowFields": "grid nabla_x",
+    "FlowFields.product_deviation": "",
+    "MollifiedDrift": "raw eps nodes weights",
+    "MollifiedDrift.jacobian": "t x",
+    "MollifiedDrift.value": "t x",
+    "OracleResult": "y0 stderr y_field time_indices",
+    "PathEnsemble": "grid increments paths seed",
+    "PicardDivergenceError": "message step residuals",
+    "RegressionBasis": "kind degree bins support ridge knots",
+    "RegressionBasis.design": "states",
+    "RegressionBasis.n_features": "dim",
+    "RepresentationReport": "identities",
+    "RepresentationReport.max_deviation": "name",
+    "RepresentationReport.summary": "",
+    "RunConfig": "seed n_paths picard_tol picard_max",
+    "TimeGrid": "times",
+    "TransformTables": "xs f1_values big_f kappa v v_prime",
+    "ZvonkinTransform": "lam xs times u u_x b_values",
+    "ZvonkinTransform.diffeomorphism_margin": "",
+    "ZvonkinTransform.drift_tilde": "t_index y",
+    "ZvonkinTransform.psi": "t_index x",
+    "ZvonkinTransform.psi_inverse": "t_index y",
+    "ZvonkinTransform.psi_x": "t_index x",
+    "ZvonkinTransform.residual": "",
+    "ZvonkinTransform.sigma_tilde": "t_index y",
+    "apriori_check": "solution ensemble problem y_slack bmo_slack",
+    "build_problem": (
+        "dim x0 horizon drift drift_params terminal terminal_params "
+        "driver driver_params mollify_eps mollify_quad_points"),
+    "continuity_diagnostic": "problem pairs n_steps n_paths seed",
+    "describe_registry": "",
+    "domination_map": "f x_max",
+    "domination_oracle": (
+        "problem quad_points ensemble time_indices inner_paths "
+        "inner_steps seed"),
+    "emit_config": "config",
+    "estimate_bmo": "solution ensemble",
+    "euler_maruyama": "problem grid increments seed x0",
+    "fd_gradient": "problem h config grid basis truncation",
+    "linear_oracle": "problem a c",
+    "lsmc_solve": "problem ensemble basis truncation_n config",
+    "make_drift": "name params",
+    "make_driver": "name params",
+    "make_growth_profile": "name params",
+    "make_terminal": "name params",
+    "mollify_drift": "drift eps dim quad_points",
+    "nested_mc_ce": "problem states t_index grid functional inner_paths seed",
+    "parse_config": "text",
+    "path_regularity_stat": "base partition p mode ensemble",
+    "rate_fit": "abscissae errors",
+    "representation_check": "base deriv flow",
+    "rho_truncate": "x n",
+    "rho_truncate_deriv": "x n",
+    "run": "config base_dir",
+    "sample_brownian": "grid n_paths dim seed",
+    "simulate": "problem grid n_paths seed",
+    "solve_gradient_bsde": "problem ensemble flow base basis config",
+    "solve_malliavin_bsde": "problem ensemble flow base anchors basis config",
+    "stability_experiment": "problem ladder ensemble basis config truncation",
+    "stabilization_level": "problem ensemble basis n_list config _cache",
+    "transform_residual": "tables",
+    "transform_tables": "f1 upper steps",
+    "truncation_error_curve": (
+        "problem ensemble basis n_list config reference_level _cache"),
+    "upsilon1": "xi_bound lambda0 lambda_y horizon",
+    "upsilon2": "ups1 lambda0 lambda_y lambda_z horizon f",
+    "variational_flow": "problem ensemble",
+    "zhang_zbar": "base partition ensemble",
+    "zvonkin_transform_1d": "drift lam space_grid time_grid",
+}
+
+
+def _public_signatures():
+    import qfbsde
+    out = {}
+    for name in qfbsde.__all__:
+        obj = getattr(qfbsde, name)
+        if inspect.isfunction(obj):
+            out[name] = " ".join(inspect.signature(obj).parameters)
+        if not inspect.isclass(obj):
+            continue
+        fields = ([f.name for f in dataclasses.fields(obj)]
+                  if dataclasses.is_dataclass(obj) else [])
+        if fields:
+            out[name] = " ".join(fields)
+        elif "__init__" in vars(obj):
+            out[name] = " ".join(inspect.signature(obj).parameters)
+        for attr, member in vars(obj).items():
+            if (inspect.isfunction(member) and not attr.startswith("_")
+                    and attr not in fields):
+                params = list(inspect.signature(member).parameters)[1:]
+                out[f"{name}.{attr}"] = " ".join(params)
+    return out
+
+
+def test_public_signatures_are_pinned():
+    assert _public_signatures() == PUBLIC_SIGNATURES

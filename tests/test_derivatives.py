@@ -17,6 +17,7 @@ from qfbsde import core, derivatives
 from qfbsde import (
     DerivativeSolution,
     DriverSpec,
+    PicardDivergenceError,
     RegressionBasis,
     RunConfig,
     TimeGrid,
@@ -282,6 +283,54 @@ def test_linear_passes_build_one_step_regressor_per_step(monkeypatch,
     anchors = (15, 4, 10)
     solve_malliavin_bsde(prob, ens, flow, base, anchors, poly_basis, rc)
     assert len(built) == grid.n_steps - min(anchors)
+
+
+@pytest.fixture(scope="module")
+def sin_setup():
+    """Smooth drift, so the step factor and every driver gradient matter."""
+    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
+                         drift="smooth_sin", terminal="tanh",
+                         driver="colehopf")
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    rc = RunConfig(seed=5, n_paths=2000)
+    ens = simulate(prob, TimeGrid.uniform(1.0, 16), rc.n_paths, rc.seed)
+    flow = variational_flow(prob, ens)
+    base = lsmc_solve(prob, ens, basis, 8, rc)
+    return prob, basis, rc, ens, flow, base
+
+
+def test_nonfinite_driver_gradient_raises(sin_setup):
+    # one NaN in g_z on one path would spread through the regression into
+    # most of nablaY; the step refuses it instead
+    prob, basis, rc, ens, flow, base = sin_setup
+    grad = prob.driver.grad
+
+    def bad_grad(t, x, y, z):
+        gx, gy, gz = grad(t, x, y, z)
+        gz = np.array(gz, dtype=float)
+        gz[7, 0] = np.nan
+        return gx, gy, gz
+
+    bad = replace(prob, driver=replace(prob.driver, grad=bad_grad))
+    with pytest.raises(ValidationError, match="non-finite"):
+        solve_gradient_bsde(bad, ens, flow, base, basis, rc)
+
+
+def test_nonfinite_linear_residual_raises(monkeypatch, sin_setup):
+    # a NaN that reaches the implicit step makes its residual NaN, which
+    # must fail the tolerance like a large residual does
+    prob, basis, rc, ens, flow, base = sin_setup
+
+    class Poisoned(derivatives._StepRegressor):
+        def ce_and_control(self, *args):
+            ce, control = super().ce_and_control(*args)
+            ce = np.array(ce)
+            ce[3, 0] = np.nan
+            return ce, control
+
+    monkeypatch.setattr(derivatives, "_StepRegressor", Poisoned)
+    with pytest.raises(PicardDivergenceError, match="residual nan"):
+        solve_gradient_bsde(prob, ens, flow, base, basis, rc)
 
 
 def test_malliavin_anchor_validation(quad_setup, poly_basis):

@@ -138,6 +138,22 @@ def test_euler_flags_nonfinite_drift(small_grid):
         euler_maruyama(prob, small_grid, inc)
 
 
+def test_flow_flags_nonfinite_drift_jacobian(small_grid):
+    prob = build_problem(dim=1, drift="smooth_sin")
+    jac = prob.drift_gradient
+
+    def bad_jac(t, x):
+        out = np.array(jac(t, x))
+        if t > 0.5:
+            out[3, 0, 0] = np.inf
+        return out
+
+    bad = prob.with_drift(prob.drift, gradient=bad_jac)
+    ens = simulate(bad, small_grid, 20, seed=4)
+    with pytest.raises(DriftEvaluationError, match="jacobian"):
+        variational_flow(bad, ens)
+
+
 def test_euler_x0_override_per_path(small_grid):
     prob = _zero_drift_problem(1)
     inc = sample_brownian(small_grid, 3, 1, seed=11)

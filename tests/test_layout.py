@@ -72,7 +72,7 @@ def test_library_outputs_are_step_major(rough, quad_problem, poly_basis,
     assert _step_major(ens.paths) and _step_major(ens.increments)
     base = lsmc_solve(prob, ens, HATS, 8, rc)
     assert _step_major(base.y) and _step_major(base.z)
-    assert _step_major(zhang_zbar(base, TimeGrid.uniform(1.0, 4), HATS,
+    assert _step_major(zhang_zbar(base, TimeGrid.uniform(1.0, 4),
                                   ensemble=ens))
     fields = _derivatives(prob, rc, ens, base)
     assert all(_step_major(a) for a in fields)

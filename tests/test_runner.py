@@ -193,7 +193,7 @@ kind = "oracle"
     assert report["oracle"] == "linear"
     # Y_0 = exp(a T) E[X_T] with the factory's a = -1 and c = 0
     problem = parse_config(text).build_problem()
-    assert report["y0_oracle"] == linear_oracle(problem, -1.0, 0.0, None).y0
+    assert report["y0_oracle"] == linear_oracle(problem, -1.0, 0.0).y0
     assert abs(report["y0_oracle"] - math.exp(-1.0)) < 0.01
 
 
@@ -317,6 +317,35 @@ fd_rel_tol = 0.2
     assert fields["nabla_z"].shape == (1000, 10, 1, 1)
     for name in ("nabla_y", "nabla_z"):
         assert np.swapaxes(fields[name], 0, 1).flags.c_contiguous, name
+
+
+def test_derivatives_kind_runs_one_linear_induction(monkeypatch, tmp_path):
+    # the gradient is the Malliavin field anchored at 0, so one induction
+    # over the anchors and 0 builds one regressor per step, N in all
+    from qfbsde import derivatives
+    built = []
+
+    class Counting(derivatives._StepRegressor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "_StepRegressor", Counting)
+    code, _, report = run_text("""
+[numerics]
+grid_n = 10
+paths = 1000
+seed = 5
+[output]
+formats = ["json"]
+[experiment]
+kind = "derivatives"
+anchors = [3, 7]
+max_deviation = 0.3
+fd_rel_tol = 0.2
+""", tmp_path)
+    assert code == EXIT_PASS and report["anchors"] == [3, 7]
+    assert len(built) == 10
 
 
 def test_stability_kind(tmp_path):

@@ -181,6 +181,15 @@ def test_fields_round_trip(tmp_path):
         assert np.array_equal(loaded[name], arr)
 
 
+def test_stored_times_that_are_no_grid_are_rejected(tmp_path):
+    # a grid must start at 0; the reader says so as a storage error
+    path = tmp_path / "f.qff"
+    path.write_bytes(_container(b"QFF2", 3, np.array([0.5, 1.0]),
+                                [("profile", np.zeros(2))]))
+    with pytest.raises(StorageError, match="time grid must start at 0"):
+        load_fields(path)
+
+
 def test_derivative_fields_round_trip_step_major(tmp_path, traced_peak):
     # a step-major gradient field is saved without a transposing copy and
     # comes back step-major, bit for bit
