@@ -118,17 +118,20 @@ class RegressionBasis:
         if self.kind == "piecewise_linear":
             if self.knots:
                 k = np.asarray(self.knots, dtype=float)
-                if k.size < 2 or np.any(np.diff(k) <= 0):
+                if not (k.size >= 2 and np.all(np.isfinite(k))
+                        and np.all(np.diff(k) > 0)):
                     raise ValidationError(
-                        "knots must be >= 2 strictly increasing values")
+                        "knots must be >= 2 finite, strictly increasing values")
             else:
                 if self.bins < 2:
                     raise ValidationError("piecewise_linear needs bins >= 2")
                 lo, hi = self.support
-                if not lo < hi:
-                    raise ValidationError("support must satisfy lo < hi")
-        if self.ridge < 0:
-            raise ValidationError("ridge must be nonnegative")
+                if not -math.inf < lo < hi < math.inf:
+                    raise ValidationError(
+                        "support must be finite with lo < hi")
+        if not 0 <= self.ridge < math.inf:
+            raise ValidationError(
+                f"ridge must be finite and nonnegative, got {self.ridge}")
 
     def n_features(self, dim: int) -> int:
         if self.kind == "polynomial":

@@ -13,7 +13,9 @@ Grammar (one declaration per line)::
     array    = "[" [ value { "," value } ] "]"     ; scalars only, one line
     comment  = "#" anything
 
-Numbers use Python literal syntax (``1e-10`` is a float, ``50`` an int).
+Numbers use Python literal syntax (``1e-10`` is a float, ``50`` an int)
+and must be finite: ``inf``, ``nan`` and overflowing literals such as
+``1e999`` are refused.
 Every key is checked against the block schema below — unknown keys are
 errors, not warnings, so a typo cannot silently fall back to a default.
 Diagnostics carry the line number, the key and the reason; duplicate
@@ -27,6 +29,7 @@ back out, and ``parse_config(emit_config(c)) == c`` exactly.
 from __future__ import annotations
 
 import inspect
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -304,12 +307,17 @@ def _parse_scalar(text: str, line_no: int, key: str, diags):
     if _INT_RE.match(text):
         return int(text)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         diags.append(Diagnostic(
             line_no, key,
             f"cannot parse {text!r} (strings must be quoted)"))
         return None
+    if not math.isfinite(value):
+        diags.append(Diagnostic(line_no, key,
+                                f"{text!r} is not a finite number"))
+        return None
+    return value
 
 
 def _parse_value(text: str, line_no: int, key: str, diags):
@@ -323,12 +331,11 @@ def _parse_value(text: str, line_no: int, key: str, diags):
             return ()
         items = []
         for part in body.split(","):
+            if part.strip().startswith("["):
+                diags.append(Diagnostic(line_no, key, "arrays cannot nest"))
+                return None
             v = _parse_scalar(part, line_no, key, diags)
             if v is None:
-                return None
-            if isinstance(v, tuple):
-                diags.append(Diagnostic(line_no, key,
-                                        "arrays cannot nest"))
                 return None
             items.append(v)
         return tuple(items)
@@ -465,7 +472,7 @@ def _apply_schema(section, schema, entries, diags, *, param_families=None):
                         f"{head} {name!r} takes no parameter {param!r}"
                         + (f" (takes: {known})" if known else " (takes none)")))
                     continue
-            if isinstance(value, tuple) or value is None:
+            if isinstance(value, tuple):
                 diags.append(Diagnostic(line_no, key,
                                         "parameters must be scalars"))
                 continue

@@ -274,8 +274,10 @@ class TimeGrid:
             raise ValidationError("time grid needs at least two nodes")
         if t[0] != 0.0:
             raise ValidationError("time grid must start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("time grid must be strictly increasing")
+        # NaN fails every comparison, so each test is stated as `not good`
+        if not (np.all(np.diff(t) > 0) and math.isfinite(t[-1])):
+            raise ValidationError(
+                "time grid must be finite and strictly increasing")
         object.__setattr__(self, "times", t)
 
     @classmethod
@@ -297,10 +299,6 @@ class TimeGrid:
     @property
     def deltas(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.times)))
 
 
 def _step_major(m: int, steps: int, *tail: int) -> np.ndarray:
@@ -419,6 +417,8 @@ class FBSDEProblem:
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.size != self.dim:
             raise ValidationError(f"x0 has size {x0.size}, expected dim={self.dim}")
+        if not np.all(np.isfinite(x0)):
+            raise ValidationError(f"x0 must be finite, got {x0}")
         object.__setattr__(self, "x0", x0)
 
     def with_drift(self, drift, *, gradient=None, bound=None, label=None) -> "FBSDEProblem":
@@ -456,7 +456,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValidationError("n_paths must be >= 2")
-        if self.picard_tol <= 0:
-            raise ValidationError("picard_tol must be positive")
+        if not 0 < self.picard_tol < math.inf:
+            raise ValidationError(
+                f"picard_tol must be positive and finite, got {self.picard_tol}")
         if self.picard_max < 1:
             raise ValidationError("picard_max must be >= 1")

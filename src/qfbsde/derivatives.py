@@ -312,22 +312,13 @@ class RepresentationReport:
     that fluctuation is the larger one.  On the closed-form problem at
     5000 paths ``se`` reads 5.4e-4 while the maximum moves by about 0.013
     from seed to seed; at a node where every path shares one state (the
-    initial one) ``se`` is zero up to rounding.  ``summary()`` prints this
-    same quantity.
+    initial one) ``se`` is zero up to rounding.
     """
 
     identities: dict
 
     def max_deviation(self, name: str) -> float:
         return self.identities[name]["max"]
-
-    def summary(self) -> str:
-        lines = []
-        for name, rec in self.identities.items():
-            lines.append(
-                f"{name}: max mean-relative deviation "
-                f"{rec['max']:.3e} (se {rec['se']:.1e}) at {rec['argmax']}")
-        return "\n".join(lines)
 
 
 def _identity_profile(rows):

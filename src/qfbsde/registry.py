@@ -421,13 +421,14 @@ def build_problem(
     phi, phi_bound, phi_grad = make_terminal(terminal, terminal_params)
     spec = make_driver(driver, driver_params)
     label = f"{drift}+{driver}+{terminal}"
+    if not mollify_eps >= 0.0:
+        raise ValidationError(
+            f"mollify_eps must be >= 0 (0 disables it), got {mollify_eps}")
     if mollify_eps > 0.0:
-        if drift in EXACT_SMOOTHINGS:
-            b, b_jac = EXACT_SMOOTHINGS[drift](mollify_eps)
-        else:
-            moll = mollify_drift(b, mollify_eps, dim=dim,
-                                 quad_points=mollify_quad_points)
-            b, b_jac = moll, moll.jacobian
+        b, b_jac = (EXACT_SMOOTHINGS[drift](mollify_eps)
+                    if drift in EXACT_SMOOTHINGS else
+                    mollify_drift(b, mollify_eps, dim=dim,
+                                  quad_points=mollify_quad_points))
         label += f"@eps{mollify_eps:g}"
     x0_vec = np.zeros(dim) + np.asarray(x0, dtype=float)
     return FBSDEProblem(

@@ -358,7 +358,7 @@ def _kind_bounds(config):
         "bmo_ok": audit.bmo_ok,
         "y_slack": audit.y_slack,
         "bmo_slack": audit.bmo_slack,
-        "passed": bool(audit.y_ok and audit.bmo_ok),
+        "passed": audit.passed,
     }
     return report, None, {"ensemble": ensemble, "solution": sol}
 

@@ -51,6 +51,19 @@ def test_basis_validation():
         RegressionBasis(ridge=-1e-3)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"ridge": np.nan},
+    {"ridge": np.inf},
+    {"kind": "piecewise_linear", "knots": (0.0, np.nan, 1.0)},
+    {"kind": "piecewise_linear", "knots": (0.0, 1.0, np.inf)},
+    {"kind": "piecewise_linear", "support": (-np.inf, 1.0)},
+], ids=["nan-ridge", "inf-ridge", "nan-knot", "inf-knot", "inf-support"])
+def test_basis_refuses_nonfinite_settings(kwargs):
+    # `ridge < 0` and `diff(knots) <= 0` are both False for NaN
+    with pytest.raises(ValidationError, match="finite"):
+        RegressionBasis(**kwargs)
+
+
 def test_basis_feature_counts():
     assert RegressionBasis(kind="polynomial", degree=3).n_features(2) == 10
     assert RegressionBasis(kind="polynomial", degree=0).n_features(5) == 1

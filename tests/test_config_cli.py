@@ -207,6 +207,31 @@ def test_syntax_diagnostics():
     assert any("unterminated array" in r for r in rs)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[numerics]\npicard_tol = inf\n", "picard_tol"),
+    ("[problem]\nhorizon = 1e999\n", "horizon"),
+    ("[numerics]\nbasis.ridge = inf\n", "basis.ridge"),
+    ("[problem]\nx0 = nan\n", "x0"),
+    ('[experiment]\nkind = "oracle"\ntolerance = inf\n', "tolerance"),
+], ids=["picard_tol", "horizon", "ridge", "x0", "tolerance"])
+def test_nonfinite_numbers_are_refused(text, key):
+    # an infinite picard_tol stops every Picard loop after one sweep, and
+    # an infinite oracle tolerance passes whatever it measures
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    (diag,) = exc.value.diagnostics
+    assert diag.key == key and diag.line == text.count("\n")
+    assert "is not a finite number" in diag.reason
+
+
+@pytest.mark.parametrize("value", ["[[8], 16]", "[8, [16, 32]]"])
+def test_nested_arrays_have_their_own_diagnostic(value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f'[experiment]\nkind = "convergence"\n'
+                     f"grid_list = {value}\n")
+    assert reasons(exc) == ["arrays cannot nest"]
+
+
 def test_dotted_params_checked_against_factory_signature():
     cfg = parse_config('[problem]\ndriver = "linear"\ndriver.a = -2\n')
     assert cfg.problem["driver.a"] == -2.0  # scalars normalize to float

@@ -23,7 +23,8 @@ from qfbsde import (
     upsilon2,
 )
 from qfbsde.core import _nested_indices
-from qfbsde.registry import make_driver
+from qfbsde.registry import (make_drift, make_driver, make_growth_profile,
+                             make_terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,6 @@ def test_time_grid_uniform_and_refinement():
     assert np.array_equal(_nested_indices(fine, coarse), np.arange(0, 33, 4))
     with pytest.raises(ValidationError):
         _nested_indices(coarse, fine)
-    assert math.isclose(fine.mesh, 1.0 / 32)
     assert coarse.n_steps == 8
 
 
@@ -193,6 +193,14 @@ def test_time_grid_validation():
         TimeGrid(times=np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValidationError):
         TimeGrid(times=np.array([0.1, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]],
+                         ids=["nan", "inf"])
+def test_time_grid_refuses_nonfinite_nodes(times):
+    # every comparison with NaN is False, so `diff <= 0` let it through
+    with pytest.raises(ValidationError, match="finite"):
+        TimeGrid(times=np.array(times))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +274,42 @@ def test_general_driver_takes_its_profile_from_the_registry():
     assert spec.f(np.array([3.0]))[0] == 9.0
 
 
+def test_clip_terminal_clips_the_first_coordinate():
+    phi, bound, grad = make_terminal("clip", {"level": 0.5})
+    x = np.array([[-2.0, 9.0], [0.25, -9.0], [3.0, 0.0]])
+    assert np.array_equal(phi(x), [-0.5, 0.25, 0.5])
+    assert bound == 0.5 and grad is None
+    with pytest.raises(ValidationError, match="level > 0"):
+        make_terminal("clip", {"level": 0.0})
+
+
+@pytest.mark.parametrize("name, params, want", [
+    ("zero", {}, [0.0, 0.0, 0.0]),
+    ("log1p", {}, np.log1p([0.0, 1.0, 3.0])),
+    ("power", {"q": 2.0}, [0.0, 1.0, 9.0]),
+    ("constant", {"c": 0.25}, [0.25, 0.25, 0.25]),
+])
+def test_growth_profiles(name, params, want):
+    f = make_growth_profile(name, params)
+    assert np.array_equal(f(np.array([0.0, 1.0, 3.0])), want)
+
+
+def test_f_power_driver_declares_its_own_profile():
+    spec = make_driver("f_power", {"q": 2.0, "scale": 0.5})
+    assert np.array_equal(spec.f(np.array([0.0, 2.0, 3.0])), [0.0, 2.0, 4.5])
+    # g = f(|y|) |z|^2 exactly, the envelope's quadratic term
+    y = np.array([-2.0, 3.0])
+    z = np.array([[1.0], [2.0]])
+    assert np.array_equal(spec.g(0.0, np.zeros((2, 1)), y, z),
+                          spec.f(np.abs(y)) * z[:, 0] ** 2)
+
+
+def test_unknown_factory_parameter_is_refused():
+    with pytest.raises(ValidationError,
+                       match="drift 'constant' takes no parameter 'k'"):
+        make_drift("constant", {"k": 1.0})
+
+
 def test_untruncated_sentinel_is_identity():
     spec = make_driver("linear", {"a": -1.0})
     assert spec.truncated(UNTRUNCATED) is spec
@@ -305,6 +349,18 @@ def test_run_config_validation():
         RunConfig(picard_tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
+def test_run_config_refuses_nonfinite_picard_tol(tol):
+    # an infinite tolerance would stop every Picard loop after one sweep
+    with pytest.raises(ValidationError, match="picard_tol"):
+        RunConfig(picard_tol=tol)
+
+
+def test_problem_refuses_nonfinite_x0(quad_problem):
+    with pytest.raises(ValidationError, match="x0 must be finite"):
+        dataclasses.replace(quad_problem, x0=np.array([np.nan]))
+
+
 # ---------------------------------------------------------------------------
 # Public surface
 # ---------------------------------------------------------------------------
@@ -313,7 +369,7 @@ PUBLIC_NAMES = [
     "BackwardSolution", "BoundsReport", "ConfigError", "ContinuityReport",
     "ConvergenceReport", "DerivativeSolution", "Diagnostic", "DominationMap",
     "DriftEvaluationError", "DriverSpec", "ExperimentConfig", "FBSDEProblem",
-    "FdGradient", "FlowFields", "MollifiedDrift", "NOT_FOUND", "OracleResult",
+    "FdGradient", "FlowFields", "NOT_FOUND", "OracleResult",
     "PathEnsemble", "PicardDivergenceError", "QfbsdeError", "RegressionBasis",
     "RepresentationReport", "RunConfig", "TimeGrid", "TransformTables",
     "UNTRUNCATED", "ValidationError", "ZvonkinTransform", "__version__",
@@ -372,11 +428,8 @@ PUBLIC_SIGNATURES = {
     "FBSDEProblem.y_sup_bound": "",
     "FBSDEProblem.z_bmo_bound": "",
     "FdGradient": "value stderr h",
-    "FlowFields": "grid nabla_x",
+    "FlowFields": "nabla_x",
     "FlowFields.product_deviation": "",
-    "MollifiedDrift": "raw eps nodes weights",
-    "MollifiedDrift.jacobian": "t x",
-    "MollifiedDrift.value": "t x",
     "OracleResult": "y0 stderr y_field time_indices",
     "PathEnsemble": "grid increments paths seed",
     "PicardDivergenceError": "message step residuals",
@@ -385,7 +438,6 @@ PUBLIC_SIGNATURES = {
     "RegressionBasis.n_features": "dim",
     "RepresentationReport": "identities",
     "RepresentationReport.max_deviation": "name",
-    "RepresentationReport.summary": "",
     "RunConfig": "seed n_paths picard_tol picard_max",
     "TimeGrid": "times",
     "TransformTables": "xs f1_values big_f kappa v v_prime",

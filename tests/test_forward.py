@@ -178,21 +178,21 @@ def test_simulate_bundles_seed(small_grid):
 
 def test_mollified_sign_bounded_and_odd():
     sign, _, bound = make_drift("sign")
-    moll = mollify_drift(sign, 0.1, quad_points=64)
+    value, _ = mollify_drift(sign, 0.1, quad_points=64)
     xs = np.linspace(-3, 3, 401)[:, None]
-    vals = moll.value(0.0, xs)
+    vals = value(0.0, xs)
     assert np.abs(vals).max() <= bound + 1e-12
-    assert abs(float(moll.value(0.0, np.zeros((1, 1)))[0, 0])) < 1e-12
+    assert abs(float(value(0.0, np.zeros((1, 1)))[0, 0])) < 1e-12
     # odd symmetry of the smoothed kernel
-    assert np.allclose(vals, -moll.value(0.0, -xs), atol=1e-12)
+    assert np.allclose(vals, -value(0.0, -xs), atol=1e-12)
 
 
 def test_mollified_sign_jacobian_peak():
     # d/dx E[sign(x + eps G)] at 0 is the Gaussian density value 2/(eps*sqrt(2pi))
     eps = 0.1
     sign, _, _ = make_drift("sign")
-    moll = mollify_drift(sign, eps, quad_points=64)
-    peak = float(moll.jacobian(0.0, np.zeros((1, 1)))[0, 0, 0])
+    _, jacobian = mollify_drift(sign, eps, quad_points=64)
+    peak = float(jacobian(0.0, np.zeros((1, 1)))[0, 0, 0])
     exact = math.sqrt(2.0 / math.pi) / eps
     assert abs(peak - exact) / exact < 0.01
     assert peak > 0
@@ -201,14 +201,14 @@ def test_mollified_sign_jacobian_peak():
 def test_node_average_blocks_rows_without_changing_bits(monkeypatch):
     # value and Jacobian over many blocks equal the one-block evaluation
     sign, _, _ = make_drift("sign")
-    moll = mollify_drift(sign, 0.1, dim=2, quad_points=8)
+    value, jacobian = mollify_drift(sign, 0.1, dim=2, quad_points=8)
     x = np.random.Generator(np.random.Philox(key=4)).normal(size=(37, 2))
-    value, jac = moll.value(0.3, x), moll.jacobian(0.3, x)
+    val, jac = value(0.3, x), jacobian(0.3, x)
     assert jac.shape == (37, 2, 2)
     for points in (1, 64 * 5, 64 * 36):  # one row, five rows, 36 rows
         monkeypatch.setattr(forward, "_NODE_AVERAGE_POINTS", points)
-        assert np.array_equal(moll.value(0.3, x), value)
-        assert np.array_equal(moll.jacobian(0.3, x), jac)
+        assert np.array_equal(value(0.3, x), val)
+        assert np.array_equal(jacobian(0.3, x), jac)
 
 
 def test_mollify_rejects_bad_args():
@@ -230,6 +230,14 @@ def test_build_problem_wires_mollified_gradient():
     assert prob.drift_gradient is not None
     j = np.asarray(prob.drift_gradient(0.0, np.zeros((1, 1))))
     assert j.shape == (1, 1, 1) and j[0, 0, 0] > 0
+
+
+@pytest.mark.parametrize("eps", [np.nan, -0.1])
+def test_build_problem_refuses_a_bad_smoothing_scale(eps):
+    # NaN fails `eps > 0` as well as `eps >= 0`; it must not fall through
+    # to the unsmoothed drift, which has no gradient
+    with pytest.raises(ValidationError, match="mollify_eps"):
+        build_problem(drift="sign", mollify_eps=eps)
 
 
 def _smoothed_sign_problem(dim=1, eps=0.1):
@@ -291,14 +299,18 @@ def test_smoothed_sign_jacobian_is_diagonal_in_two_dims():
 
 
 def test_build_problem_smooths_sign_exactly_and_others_by_quadrature():
+    x = np.linspace(-0.5, 0.5, 11)[:, None]
     prob = _smoothed_sign_problem()
-    assert not isinstance(prob.drift, forward.MollifiedDrift)
+    exact, exact_jac = forward._smoothed_sign(0.1)
     assert prob.drift(0.0, np.zeros((1, 1)))[0, 0] == 0.0
+    assert np.array_equal(prob.drift(0.0, x), exact(0.0, x))
+    assert np.array_equal(prob.drift_gradient(0.0, x), exact_jac(0.0, x))
     rough = build_problem(drift="holder_sqrt", mollify_eps=0.1,
                           mollify_quad_points=16)
-    assert isinstance(rough.drift, forward.MollifiedDrift)
-    assert rough.drift.nodes.shape == (16, 1)
-    assert rough.drift_gradient == rough.drift.jacobian
+    value, jacobian = mollify_drift(make_drift("holder_sqrt")[0], 0.1,
+                                    quad_points=16)
+    assert np.array_equal(rough.drift(0.0, x), value(0.0, x))
+    assert np.array_equal(rough.drift_gradient(0.0, x), jacobian(0.0, x))
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +399,6 @@ def test_flow_requires_gradient(small_grid):
     ens = simulate(prob, small_grid, 5, seed=6)
     with pytest.raises(ValidationError):
         variational_flow(prob, ens)
-
-
-def test_flow_uses_mollified_jacobian_automatically(small_grid):
-    sign, _, bound = make_drift("sign")
-    moll = mollify_drift(sign, 0.2, quad_points=32)
-    prob = FBSDEProblem(dim=1, x0=np.zeros(1), drift=moll,
-                        terminal=lambda x: np.tanh(x[:, 0]),
-                        driver=_zero_drift_problem(1).driver,
-                        horizon=1.0, drift_bound=bound)
-    ens = simulate(prob, small_grid, 10, seed=6)
-    flow = variational_flow(prob, ens)
-    assert flow.product_deviation() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +550,16 @@ def test_continuity_diagnostic_matches_full_grid_paths():
         assert rep.ratios[idx] == sq.mean() / denom
         assert rep.std_errors[idx] == (
             sq.std(ddof=1) / math.sqrt(n_paths) / denom)
+
+
+@pytest.mark.parametrize("times, lam", [
+    ([0.0, np.nan, 1.0], 10.0),
+    ([0.0, 0.5, np.inf], 10.0),
+    ([0.0, 0.5, 1.0], np.nan),
+    ([0.0, 0.5, 1.0], np.inf),
+], ids=["nan-time", "inf-time", "nan-lam", "inf-lam"])
+def test_zvonkin_refuses_nonfinite_input(times, lam):
+    drift, _, _ = make_drift("holder_sqrt")
+    with pytest.raises(ValidationError):
+        zvonkin_transform_1d(drift, lam, np.linspace(-2.0, 2.0, 9),
+                             np.array(times))

@@ -106,7 +106,7 @@ kind = "bounds"
     assert code == EXIT_PASS
     assert report["upsilon1"] == 1.0
     assert report["sup_y_node"] <= 1.0 * (1.0 + report["y_slack"])
-    assert report["y_ok"] and report["bmo_ok"]
+    assert report["y_ok"] and report["bmo_ok"] and report["passed"] is True
     assert report["z_bmo"] <= report["upsilon2_sqrt"]
 
 
@@ -228,6 +228,31 @@ grid_list = [4, 8, 16]
     rows = (out / "plot.csv").read_text().strip().splitlines()
     assert rows[0] == "x,y,yerr"
     assert len(rows) == 3
+
+
+def test_convergence_kind_against_the_oracle(tmp_path):
+    # with the closed form as reference every grid gets an error, the
+    # finest included
+    code, out, report = run_text("""
+[numerics]
+paths = 2000
+seed = 2
+truncation = 8
+[experiment]
+kind = "convergence"
+grid_list = [4, 8, 16]
+reference = "oracle"
+max_error = 0.05
+""", tmp_path)
+    assert code == EXIT_PASS
+    assert report["reference"] == "domination"
+    assert abs(report["reference_y0"] - 0.1889260579834315) < 1e-12
+    assert report["errors"] == [abs(y - report["reference_y0"])
+                                for y in report["y0"]]
+    assert len(report["stderrs"]) == 3
+    assert max(report["errors"]) <= 0.05
+    rows = (out / "plot.csv").read_text().strip().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [4.0, 8.0, 16.0]
 
 
 def test_convergence_kind_stderrs_measure_path_spread(tmp_path):

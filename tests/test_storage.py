@@ -190,6 +190,16 @@ def test_stored_times_that_are_no_grid_are_rejected(tmp_path):
         load_fields(path)
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf]],
+                         ids=["nan", "inf"])
+def test_stored_times_must_be_finite(tmp_path, times):
+    path = tmp_path / "f.qff"
+    path.write_bytes(_container(b"QFF2", 3, np.array(times),
+                                [("profile", np.zeros(3))]))
+    with pytest.raises(StorageError, match="finite"):
+        load_fields(path)
+
+
 def test_derivative_fields_round_trip_step_major(tmp_path, traced_peak):
     # a step-major gradient field is saved without a transposing copy and
     # comes back step-major, bit for bit
