@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -171,26 +172,38 @@ class RegressionBasis:
                 for j, e in rest:
                     col *= a[:, power[j, e]]
             return a
-        if d != 1:
-            raise ValidationError("piecewise_linear basis is one-dimensional only")
+        k, w0, w1 = _hat_cells(self, x)
+        a = np.zeros((m, self.n_features(d)), order="F")
+        flat = a.reshape(-1, order="F")  # a view: a[r, c] is flat[c*m + r]
+        at = k * m + np.arange(m)
+        flat[at] = w0
+        flat[at + m] = w1
+        return a
+
+    @cached_property
+    def _hat_grid(self):
+        """``(nodes, upper, table, scale)`` for :func:`_hat_cells`.
+
+        ``table[b]`` is the cell holding ``nodes[0] + b / scale``, the left
+        edge of bucket ``b`` of a uniform grid over the knots' span, and its
+        last entry is the cell of the last knot.  The buckets are no wider
+        than the narrowest cell unless that takes more than
+        ``_MAX_BUCKETS`` of them.  ``upper`` is each cell's right knot, with
+        the last cell open to the right.
+        """
         if self.knots:
             nodes = np.asarray(self.knots, dtype=float)
         else:
             lo, hi = self.support
             nodes = np.linspace(lo, hi, self.bins)
-        xs = np.clip(x[:, 0], nodes[0], nodes[-1])
-        # cell [nodes[k], nodes[k+1]] holding each clamped state; a state on
-        # an interior knot opens the cell to its right, the last knot closes
-        # the last cell
-        k = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
-                    0, nodes.size - 2)
-        h = np.diff(nodes)[k]
-        a = np.zeros((m, nodes.size), order="F")
-        flat = a.reshape(-1, order="F")  # a view: a[r, c] is flat[c*m + r]
-        at = k * m + np.arange(m)
-        flat[at] = 1.0 - (xs - nodes[k]) / h
-        flat[at + m] = 1.0 - (nodes[k + 1] - xs) / h
-        return a
+        span = nodes[-1] - nodes[0]
+        n_buckets = math.ceil(min(_MAX_BUCKETS, span / np.diff(nodes).min()))
+        edges = nodes[0] + span * (np.arange(n_buckets + 1) / n_buckets)
+        edges[-1] = nodes[-1]
+        table = np.clip(np.searchsorted(nodes, edges, side="right") - 1,
+                        0, nodes.size - 2)
+        upper = np.append(nodes[1:-1], math.inf)
+        return nodes, upper, table, n_buckets / span
 
 
 def _monomials(dim: int, degree: int):
@@ -209,6 +222,49 @@ def _monomials(dim: int, degree: int):
     return out
 
 
+_MAX_BUCKETS = 4096
+
+
+def _hat_cells(basis: RegressionBasis, states: np.ndarray):
+    """The hat design of ``states`` as each state's cell and two weights.
+
+    Returns ``(k, w0, w1)``: the state, clamped to the knots' span, lies in
+    cell ``[nodes[k], nodes[k+1]]`` and has weight ``w0`` on hat ``k`` and
+    ``w1`` on hat ``k + 1``; every other hat is zero there.  ``k`` is
+    bitwise ``clip(searchsorted(nodes, xs, side="right") - 1, 0, K - 2)``:
+    a state on an interior knot opens the cell to its right, and the last
+    knot closes the last cell.  The bucket table gives a first guess, and
+    each guess moves one cell at a time until no state lies outside its
+    cell, so the result is exact for any knot vector.
+    """
+    if states.shape[1] != 1:
+        raise ValidationError("piecewise_linear basis is one-dimensional only")
+    nodes, upper, table, scale = basis._hat_grid
+    xs = np.clip(states[:, 0], nodes[0], nodes[-1])
+    b = xs - nodes[0]
+    b *= scale
+    np.fmin(b, table.size - 1, out=b)  # a NaN state takes the last entry
+    k = table[b.astype(np.intp)]
+    while True:
+        lo, hi = nodes[k], upper[k]
+        up, down = xs >= hi, xs < lo
+        if not (up.any() or down.any()):
+            break
+        k += up
+        k -= down
+    np.minimum(hi, nodes[-1], out=hi)  # close the last cell
+    h = hi - lo  # bitwise np.diff(nodes)[k]
+    # the weights overwrite lo and hi, so the dense formula's temporaries
+    # are never held
+    w0 = np.subtract(xs, lo, out=lo)
+    w0 /= h
+    np.subtract(1.0, w0, out=w0)
+    w1 = np.subtract(hi, xs, out=hi)
+    w1 /= h
+    np.subtract(1.0, w1, out=w1)
+    return k, w0, w1
+
+
 class _StepRegressor:
     """The one per-step projector: a design and Gram factor on the states.
 
@@ -216,32 +272,47 @@ class _StepRegressor:
     there in sample.  Designs with no more paths than basis functions are
     rejected: they interpolate instead of regress.
 
-    The design is stored unscaled.  The unit-column scaling that the ridge
-    floor refers to lives on the Gram: ``gram`` is ``S AᵀA S + ridge·I``
-    with ``S = diag(scale)`` the inverse column norms, and ``project``
-    applies ``scale`` to the right-hand side and to the coefficients.
-    A ``gram`` of lower numerical rank (``np.linalg.matrix_rank``) is
-    decided once, at construction: every solve on it goes to least squares
-    and is counted in ``lstsq_fallbacks``.  Unit-scaled columns bound the
-    condition number by ``(K + ridge) / ridge``, so only a ridge below
-    ``K**2`` machine epsilons needs the rank test.
+    A polynomial design is stored as its dense ``(M, K)`` matrix.  A hat
+    design is stored as :func:`_hat_cells` gives it, each state's cell and
+    two weights, so its Gram (tridiagonal), ``Aᵀy`` and fitted values cost
+    O(M) each.  Both kinds then follow the same rules.  Columns that do not
+    vary are dropped, except one intercept (``dropped_columns`` counts the
+    rest), and with no varying column the fit is the sample mean.  The
+    unit-column scaling that the ridge floor refers to lives on the Gram:
+    ``gram`` is ``S AᵀA S + ridge·I`` with ``S = diag(scale)`` the inverse
+    column norms, and ``project`` applies ``scale`` to the right-hand side
+    and to the coefficients.  A ``gram`` of lower numerical rank
+    (``np.linalg.matrix_rank``) is decided once, at construction: every
+    solve on it goes to least squares and is counted in
+    ``lstsq_fallbacks``.  Unit-scaled columns bound the condition number by
+    ``(K + ridge) / ridge``, so only a ridge below ``K**2`` machine
+    epsilons needs the rank test.
     """
 
     def __init__(self, basis: RegressionBasis, states: np.ndarray):
         m, dim = states.shape
-        if m <= basis.n_features(dim):
+        n_features = basis.n_features(dim)
+        if m <= n_features:
             raise ValidationError(
                 f"need more paths ({m}) than basis functions "
-                f"({basis.n_features(dim)})")
+                f"({n_features})")
         self.lstsq_fallbacks = 0
-        a = basis.design(states)
+        self.n_features = n_features
+        if basis.kind == "piecewise_linear":
+            a = None
+            self.cells = _hat_cells(basis, states)
+            nonconst, g = _hat_gram(*self.cells, n_features)
+        else:
+            a = basis.design(states)
+            ptp = a.max(axis=0) - a.min(axis=0)
+            nonconst = ptp > 0.0
         # collapse designs with no usable variation to a pure mean fit
-        ptp = a.max(axis=0) - a.min(axis=0)
-        nonconst = ptp > 0.0
         self.mean_only = not bool(nonconst.any())
         if self.mean_only:
+            self.dropped_columns = n_features - 1
             return
-        g = a.T @ a
+        if a is not None:
+            g = a.T @ a
         norms = np.sqrt(np.diag(g))
         kept = nonconst.copy()
         # keep a single intercept column in front of the varying ones
@@ -250,9 +321,13 @@ class _StepRegressor:
         if live_const.size:
             kept[live_const[0]] = True
         if not kept.all():
-            a, g, norms = a[:, kept], g[np.ix_(kept, kept)], norms[kept]
+            g, norms = g[np.ix_(kept, kept)], norms[kept]
+            if a is not None:
+                a = a[:, kept]
         norms[norms == 0.0] = 1.0
         self.a = a
+        self.kept = kept
+        self.dropped_columns = n_features - int(kept.sum())
         self.scale = 1.0 / norms
         g = g * np.outer(self.scale, self.scale)
         k = g.shape[0]
@@ -280,16 +355,46 @@ class _StepRegressor:
             out = np.broadcast_to(y2.mean(axis=0), y2.shape).copy()
         else:
             scale = self.scale[:, None]
-            rhs = scale * (self.a.T @ y2)
+            rhs = scale * self._transpose_times(y2)
             if self.singular:
                 self.lstsq_fallbacks += 1
                 coef = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
             else:
                 coef = np.linalg.solve(self.gram, rhs)
-            out = self.a @ (scale * coef)
+            out = self._times(scale * coef)
         if const.any():
             out[:, const] = lo[const]
         return out[:, 0] if squeeze else out
+
+    def _transpose_times(self, y2: np.ndarray) -> np.ndarray:
+        """``Aᵀy`` over the kept columns for ``(M, c)`` targets."""
+        if self.a is not None:
+            return self.a.T @ y2
+        k, w0, w1 = self.cells
+        n = self.n_features
+        out = np.empty((n, y2.shape[1]))
+        for c in range(y2.shape[1]):
+            col = y2[:, c]
+            out[:, c] = np.bincount(k, w0 * col, minlength=n)
+            out[1:, c] += np.bincount(k, w1 * col, minlength=n - 1)
+        return out[self.kept]
+
+    def _times(self, coef: np.ndarray) -> np.ndarray:
+        """``A @ coef`` for ``(kept, c)`` coefficients."""
+        if self.a is not None:
+            return self.a @ coef
+        k, w0, w1 = self.cells
+        full = np.zeros((self.n_features, coef.shape[1]))
+        full[self.kept] = coef
+        if coef.shape[1] == 1:
+            full = full[:, 0]
+            out = full[:-1][k]
+            out *= w0
+            hi = full[1:][k]
+            hi *= w1
+            out += hi
+            return out[:, None]
+        return w0[:, None] * full[:-1][k] + w1[:, None] * full[1:][k]
 
     def ce_and_control(self, nxt: np.ndarray, db: np.ndarray, dt: float):
         """``E[nxt|X_i]`` and the centered control for ``(M, k)`` targets.
@@ -304,6 +409,28 @@ class _StepRegressor:
         return ce, control.reshape(m, k, -1)
 
 
+def _hat_gram(k, w0, w1, n):
+    """Which of the ``n`` hat columns vary, and the hat design's Gram.
+
+    Column ``j`` holds ``w0`` on the states of cell ``j``, ``w1`` on those
+    of cell ``j - 1`` and zero elsewhere; the weights lie in ``[0, 1]`` and
+    a nonzero one is at least ``2**-53``.  A column with a zero row varies
+    exactly when its sum of squares is positive.  A column with no zero
+    row (every state in its two cells) is checked value by value, as
+    ``ptp`` over the dense column would.
+    """
+    diag = np.bincount(k, w0 * w0, minlength=n)
+    diag[1:] += np.bincount(k, w1 * w1, minlength=n - 1)
+    off = np.bincount(k, w0 * w1, minlength=n - 1)
+    g = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nonconst = diag > 0.0
+    # columns kmax .. kmin + 1 hold a weight in every row
+    for j in range(k.max(), k.min() + 2):
+        col = np.where(k == j, w0, w1)
+        nonconst[j] = col.max() > col.min()
+    return nonconst, g
+
+
 # ---------------------------------------------------------------------------
 # Backward solution container
 # ---------------------------------------------------------------------------
@@ -316,8 +443,10 @@ class BackwardSolution:
     lives on steps, not nodes).  Both are step-major in memory: ``y[:, i]``
     and ``z[:, i]`` are contiguous.  ``diagnostics`` records per-step
     Picard behaviour, per-step counts of singular Grams solved by least
-    squares (``lstsq_fallbacks``), realized input magnitudes seen by the
-    driver, and the sup-node value bound.
+    squares (``lstsq_fallbacks``) and of basis columns the regression
+    dropped because they do not vary on the step's states
+    (``dropped_columns``), realized input magnitudes seen by the driver,
+    and the sup-node value bound.
     """
 
     grid: TimeGrid
@@ -373,6 +502,7 @@ class _LevelRun:
         self.picard_iters = np.zeros(n, dtype=int)
         self.picard_residuals = np.zeros(n)
         self.lstsq_fallbacks = np.zeros(n, dtype=int)
+        self.dropped_columns = np.zeros(n, dtype=int)
         self.realized_y_max = 0.0
         self.realized_z_max = 0.0
 
@@ -441,6 +571,7 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
                 for lv in takers:
                     run = runs[lv]
                     run.lstsq_fallbacks[i] = fallbacks
+                    run.dropped_columns[i] = reg.dropped_columns
                     run.realized_z_max = max(run.realized_z_max, z_max)
                     for v in fed:
                         run.realized_y_max = max(run.realized_y_max, v)
@@ -463,6 +594,7 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
             "picard_iters": run.picard_iters,
             "picard_residuals": run.picard_residuals,
             "lstsq_fallbacks": run.lstsq_fallbacks,
+            "dropped_columns": run.dropped_columns,
             "sup_y_node": float(np.abs(run.y).max()),
             "realized_driver_y_max": run.realized_y_max,
             "realized_driver_z_max": run.realized_z_max,

@@ -287,6 +287,21 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+def _split_outside_strings(body: str) -> list:
+    """``body`` split at the commas that lie outside quoted strings."""
+    parts = []
+    start = 0
+    in_string = False
+    for i, ch in enumerate(body):
+        if ch == '"':
+            in_string = not in_string
+        elif ch == "," and not in_string:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
 def _parse_scalar(text: str, line_no: int, key: str, diags):
     text = text.strip()
     if not text:
@@ -330,7 +345,7 @@ def _parse_value(text: str, line_no: int, key: str, diags):
         if not body:
             return ()
         items = []
-        for part in body.split(","):
+        for part in _split_outside_strings(body):
             if part.strip().startswith("["):
                 diags.append(Diagnostic(line_no, key, "arrays cannot nest"))
                 return None

@@ -1,6 +1,9 @@
 """Backward-induction tests: regression bases, LSMC, audits, stabilization."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +122,11 @@ def test_polynomial_design_is_the_monomials_in_order(dim, degree):
     assert np.all(np.abs(design - ref) <= 1e-13 * np.abs(ref))
 
 
+def _hat_nodes(basis):
+    return (np.asarray(basis.knots) if basis.knots
+            else np.linspace(*basis.support, basis.bins))
+
+
 def _hat_reference(nodes, x):
     """The dense hat formula ``max(0, 1 - |x - n_j| / h_j)`` on clamped x."""
     xs = np.clip(x, nodes[0], nodes[-1])
@@ -135,8 +143,7 @@ def _hat_reference(nodes, x):
                     knots=(-4.0, -1.0, -0.25, 0.0, 0.1, 0.7, 3.0)),
 ])
 def test_pwl_design_matches_dense_hat_formula(basis):
-    nodes = (np.asarray(basis.knots) if basis.knots
-             else np.linspace(*basis.support, basis.bins))
+    nodes = _hat_nodes(basis)
     rng = np.random.Generator(np.random.Philox(key=6))
     inside = rng.uniform(nodes[0], nodes[-1], size=400)
     outside = np.array([nodes[0] - 1e-9, nodes[0] - 7.0,
@@ -178,6 +185,140 @@ def test_regressor_is_mean_only_beyond_hat_support():
                        atol=1e-15)
 
 
+# c09's hat knots, clustered at the mollification scale of the sign drift
+_ROUGH_MAGS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.45, 0.65, 0.9,
+               1.2, 1.6, 2.1, 2.7, 3.5, 4.5)
+ROUGH_KNOTS = tuple(sorted({s * m for m in _ROUGH_MAGS for s in (-1.0, 1.0)}))
+
+
+@pytest.mark.parametrize("basis", [
+    RegressionBasis(kind="piecewise_linear", bins=2),
+    RegressionBasis(kind="piecewise_linear", bins=8),
+    RegressionBasis(kind="piecewise_linear", bins=16, support=(-4.5, 4.5)),
+    RegressionBasis(kind="piecewise_linear", knots=ROUGH_KNOTS),
+    RegressionBasis(kind="piecewise_linear",
+                    knots=(-1.0, *(j * 1e-9 for j in range(40)), 1.0)),
+], ids=["bins2", "bins8", "bins16", "rough29", "cluster1e-9"])
+def test_hat_cells_match_searchsorted_bitwise(basis):
+    nodes = _hat_nodes(basis)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    span = nodes[-1] - nodes[0]
+    x = np.concatenate([
+        rng.uniform(nodes[0] - 0.1 * span, nodes[-1] + 0.1 * span, 3000),
+        rng.uniform(-5e-8, 5e-8, 500),
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        [nodes[0] - 7.0, nodes[-1] + 7.0, -np.inf, np.inf, np.nan]])
+    k, w0, w1 = backward._hat_cells(basis, x[:, None])
+    xs = np.clip(x, nodes[0], nodes[-1])
+    ref = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
+                  0, nodes.size - 2)
+    assert k.dtype == ref.dtype and np.array_equal(k, ref)
+    h = np.diff(nodes)[ref]
+    assert np.array_equal(w0, 1.0 - (xs - nodes[ref]) / h, equal_nan=True)
+    assert np.array_equal(w1, 1.0 - (nodes[ref + 1] - xs) / h,
+                          equal_nan=True)
+
+
+def _dense_fit(basis, states, targets):
+    """The dense regression on ``basis.design``: the hat operator's reference.
+
+    Returns ``(mean_only, kept, fitted)`` for ``(M, c)`` targets.
+    """
+    a = basis.design(states)
+    nonconst = a.max(axis=0) - a.min(axis=0) > 0.0
+    if not nonconst.any():
+        return True, None, np.broadcast_to(targets.mean(axis=0), targets.shape)
+    g = a.T @ a
+    norms = np.sqrt(np.diag(g))
+    kept = nonconst.copy()
+    const = np.flatnonzero(~nonconst)
+    live = const[norms[const] > 0.0]
+    if live.size:
+        kept[live[0]] = True
+    a, g, norms = a[:, kept], g[np.ix_(kept, kept)], norms[kept]
+    s = 1.0 / norms
+    g = g * np.outer(s, s) + basis.ridge * np.eye(g.shape[0])
+    coef = np.linalg.solve(g, s[:, None] * (a.T @ targets))
+    return False, kept, a @ (s[:, None] * coef)
+
+
+def _hat_states(case, rng, m):
+    basis = RegressionBasis(kind="piecewise_linear", bins=9, support=(-4.0, 4.0))
+    if case == "one_knot":
+        x = np.full(m, 1.0)
+    elif case == "one_cell":
+        x = rng.uniform(1.0, 2.0, m)
+    elif case == "untouched_hat":
+        # the hats at +-3 and +-4 see no state
+        x = np.concatenate([rng.uniform(-2.0, -0.5, m // 2),
+                            rng.uniform(0.5, 2.0, m - m // 2)])
+    elif case == "constant_hat":
+        # midpoints of the cells either side of knot 1: that hat is 0.5 on
+        # every state while its neighbours vary
+        x = rng.choice([0.5, 1.5], m)
+    elif case == "rough":
+        basis = RegressionBasis(kind="piecewise_linear", knots=ROUGH_KNOTS)
+        x = rng.normal(size=m)
+    else:
+        x = 1.5 * rng.normal(size=m)
+    return basis, x[:, None]
+
+
+@pytest.mark.parametrize("case", ["one_knot", "one_cell", "untouched_hat",
+                                  "constant_hat", "rough", "uniform"])
+def test_hat_operator_matches_dense_reference(case):
+    rng = np.random.Generator(np.random.Philox(key=10))
+    m = 2000
+    basis, states = _hat_states(case, rng, m)
+    nxt = np.column_stack([np.tanh(3.0 * states[:, 0]) + rng.normal(size=m),
+                           rng.normal(size=m)])
+    db = 0.1 * rng.normal(size=(m, 1))
+    reg = backward._StepRegressor(basis, states)
+    mean_only, kept, ce_ref = _dense_fit(basis, states, nxt)
+    assert reg.mean_only == mean_only
+    if not mean_only:
+        assert np.array_equal(reg.kept, kept)
+    ce, control = reg.ce_and_control(nxt, db, 0.01)
+    ctl_ref = _dense_fit(basis, states, (nxt - ce_ref) * db)[2] / 0.01
+    for got, ref in ((ce, ce_ref), (control[:, :, 0], ctl_ref)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # one column at a time takes the one-column path
+    for c in range(2):
+        assert np.abs(reg.project(nxt[:, c]) - ce_ref[:, c]).max() <= (
+            1e-12 * np.abs(ce_ref[:, c]).max())
+
+
+def test_hat_regressor_holds_no_dense_design(traced_peak):
+    # the dense (M, 29) design alone is 29 * 8 * M bytes
+    rng = np.random.Generator(np.random.Philox(key=11))
+    m = 100_000
+    basis = RegressionBasis(kind="piecewise_linear", knots=ROUGH_KNOTS)
+    states = rng.normal(size=(m, 1))
+    nxt = np.tanh(states) + 0.1 * rng.normal(size=(m, 1))
+    db = 0.1 * rng.normal(size=(m, 1))
+    _, peak = traced_peak(lambda: backward._StepRegressor(
+        basis, states).ce_and_control(nxt, db, 0.01))
+    assert peak < 10 * 8 * m
+
+
+def test_hat_solve_leaves_scipy_linalg_unloaded():
+    # loading scipy.linalg costs more resident memory than the solve
+    src = os.path.dirname(os.path.dirname(backward.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, numpy as np, qfbsde as q\n"
+        "p = q.build_problem(drift='zero', terminal='tanh', driver='colehopf')\n"
+        "rc = q.RunConfig(seed=1, n_paths=500)\n"
+        "ens = q.simulate(p, q.TimeGrid.uniform(1.0, 4), 500, 1)\n"
+        "b = q.RegressionBasis(kind='piecewise_linear', bins=8)\n"
+        "q.lsmc_solve(p, ens, b, 6, rc)\n"
+        "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def _coin_ensemble(n_paths, grid, seed, n_plus):
     """States in {-1, 1} at every node: x and x^3 are the same column.
 
@@ -217,6 +358,29 @@ def test_singular_gram_falls_back_to_lstsq_and_is_counted(quad_problem,
     ordinary = small_solution.diagnostics["lstsq_fallbacks"]
     assert ordinary.shape == (small_solution.z.shape[1],)
     assert not ordinary.any()
+
+
+def test_dropped_columns_count_untouched_hats(quad_problem, small_solution):
+    # short horizon: the states stay well inside (-2, 2), so the outer hats
+    # of the 9-knot layout on (-4, 4) see no state
+    grid = TimeGrid.uniform(0.1, 5)
+    rc = RunConfig(seed=4, n_paths=2000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    basis = RegressionBasis(kind="piecewise_linear", bins=9, support=(-4.0, 4.0))
+    sol = lsmc_solve(quad_problem, ens, basis, 6, rc)
+    dropped = sol.diagnostics["dropped_columns"]
+    assert dropped.shape == (grid.n_steps,)
+    for i in range(grid.n_steps):
+        design = basis.design(ens.paths[:, i, :])
+        assert dropped[i] == np.count_nonzero(~design.any(axis=0))
+    # every state starts at x0 = 0, a knot: one hat, and the mean-only fit
+    assert dropped[0] == basis.n_features(1) - 1
+    assert np.all(dropped[1:] >= 4)
+    # polynomials drop K - kept columns: all but the intercept where every
+    # state sits at x0, none elsewhere
+    poly = small_solution.diagnostics["dropped_columns"]
+    assert poly[0] == small_solution.basis.n_features(1) - 1
+    assert not poly[1:].any()
 
 
 def test_regression_requires_enough_paths():

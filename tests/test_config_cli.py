@@ -232,6 +232,17 @@ def test_nested_arrays_have_their_own_diagnostic(value):
     assert reasons(exc) == ["arrays cannot nest"]
 
 
+def test_array_commas_inside_strings_do_not_split():
+    # one string holding a comma is one entry, which the formats check
+    # then refuses; splitting at every comma reported "unterminated string"
+    with pytest.raises(ConfigError) as exc:
+        parse_config('[output]\nformats = ["json,csv"]\n')
+    assert keys(exc) == ["formats"]
+    assert reasons(exc) == ["entries must be json, csv or binary"]
+    cfg = parse_config('[output]\nformats = ["json" , "csv"]\n')
+    assert cfg.output["formats"] == ("json", "csv")
+
+
 def test_dotted_params_checked_against_factory_signature():
     cfg = parse_config('[problem]\ndriver = "linear"\ndriver.a = -2\n')
     assert cfg.problem["driver.a"] == -2.0  # scalars normalize to float
