@@ -29,6 +29,7 @@ from .core import (
     TimeGrid,
     UNTRUNCATED,
     ValidationError,
+    _check_level,
     _nested_indices,
     _step_major,
 )
@@ -219,11 +220,11 @@ def truncation_error_curve(
     mean squared value gap, with its stderr, and the time-integrated
     control gap in ``metadata["z_errors"]``.
     """
-    levels = sorted(set(int(v) for v in n_list))
+    levels = sorted(set(_check_level(v) for v in n_list))
     if not levels:
         raise ValidationError("n_list is empty")
-    if levels[0] < 1:
-        raise ValidationError("truncation levels must be positive")
+    if reference_level is not None:
+        reference_level = _check_level(reference_level)
     cache = _cache if _cache is not None else {}
     meta: dict = {"n_paths": ensemble.n_paths, "seed": ensemble.seed,
                   "basis": basis.kind}
@@ -242,15 +243,20 @@ def truncation_error_curve(
             cache[reference_level] = _relabel(cache[stab], reference_level)
     else:
         pending = _sweep_uncached(cache, problem, ensemble, basis,
-                                  [int(reference_level)] + levels, config)
-    ref = _solve_cached(cache, pending, int(reference_level))
-    meta["reference_level"] = int(reference_level)
+                                  [reference_level] + levels, config)
+    ref = _solve_cached(cache, pending, reference_level)
+    meta["reference_level"] = reference_level
 
     deltas = ensemble.grid.deltas
     m = ensemble.n_paths
     errors, stderrs, z_errors, z_stderrs = [], [], [], []
     for n in levels:
         sol = _solve_cached(cache, pending, n)
+        if sol.y is ref.y and sol.z is ref.z:
+            # the reference's own arrays: the gaps below are exact zeros
+            for acc in (errors, stderrs, z_errors, z_stderrs):
+                acc.append(0.0)
+            continue
         err, se = _worst_node((sol.y - ref.y) ** 2)
         errors.append(err)
         stderrs.append(se)

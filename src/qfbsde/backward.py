@@ -34,6 +34,7 @@ from .core import (
     TimeGrid,
     UNTRUNCATED,
     ValidationError,
+    _check_level,
     _step_major,
 )
 from .forward import PathEnsemble
@@ -447,6 +448,9 @@ class BackwardSolution:
     dropped because they do not vary on the step's states
     (``dropped_columns``), realized input magnitudes seen by the driver,
     and the sup-node value bound.
+
+    ``y`` and ``z`` are read-only: the levels of a truncation ladder whose
+    results are bitwise equal share one pair of arrays.
     """
 
     grid: TimeGrid
@@ -488,17 +492,17 @@ def lsmc_solve(
     return out
 
 
-class _LevelRun:
-    """One level's fields and per-step records while a sweep runs.
+class _Store:
+    """The fields and per-step records of the levels whose results are
+    bitwise equal so far; their solutions share its ``y`` and ``z``.
 
     ``y`` and ``z`` are step-major, so ``put`` writes each step's column
     as one contiguous slab.
     """
 
-    def __init__(self, m: int, n: int, d: int, terminal: np.ndarray):
+    def __init__(self, m: int, n: int, d: int):
         self.y = _step_major(m, n + 1)
         self.z = _step_major(m, n, d)
-        self.y[:, n] = terminal
         self.picard_iters = np.zeros(n, dtype=int)
         self.picard_residuals = np.zeros(n)
         self.lstsq_fallbacks = np.zeros(n, dtype=int)
@@ -506,9 +510,26 @@ class _LevelRun:
         self.realized_y_max = 0.0
         self.realized_z_max = 0.0
 
-    def put(self, i: int, y_i: np.ndarray, z_i: np.ndarray) -> None:
-        self.y[:, i] = y_i
+    def split(self, i: int) -> "_Store":
+        """A new store holding this one's steps ``i+1..N``."""
+        m, n1 = self.y.shape
+        new = _Store(m, n1 - 1, self.z.shape[2])
+        new.y[:, i + 1:] = self.y[:, i + 1:]
+        new.z[:, i + 1:] = self.z[:, i + 1:]
+        for name in ("picard_iters", "picard_residuals", "lstsq_fallbacks",
+                     "dropped_columns"):
+            getattr(new, name)[:] = getattr(self, name)
+        new.realized_y_max = self.realized_y_max
+        new.realized_z_max = self.realized_z_max
+        return new
+
+    def put(self, i, result, z_i, fallbacks, dropped, fed, z_max) -> None:
+        self.y[:, i], self.picard_iters[i], self.picard_residuals[i] = result
         self.z[:, i] = z_i
+        self.lstsq_fallbacks[i] = fallbacks
+        self.dropped_columns[i] = dropped
+        self.realized_y_max = max([self.realized_y_max, *fed])
+        self.realized_z_max = max(self.realized_z_max, z_max)
 
 
 def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
@@ -529,6 +550,10 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
     included; otherwise the lowest level splits off and the rest rerun
     Picard on the same projection.  ``UNTRUNCATED`` is never grouped: the
     raw driver sees ``-0.0`` where the truncation passes ``+0.0``.
+
+    A group writes each step once, into its one :class:`_Store`; a level
+    that splits off takes a copy of the steps after the split.  The levels
+    left in a group at the end share its read-only ``y`` and ``z``.
     """
     levels = tuple(dict.fromkeys(levels))
     x = ensemble.paths
@@ -542,18 +567,21 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
     terminal = np.asarray(problem.terminal(x[:, n, :]), dtype=float)
     if not np.all(np.isfinite(terminal)):
         raise ValidationError("terminal condition produced non-finite values")
-    runs = {lv: _LevelRun(m, n, d, terminal) for lv in levels}
-    # (levels sharing bitwise-equal next values, lowest first; those values)
-    groups = [([lv], terminal) for lv in levels if lv is UNTRUNCATED]
     finite = sorted((lv for lv in levels if lv is not UNTRUNCATED), key=int)
-    if finite:
-        groups.append((finite, terminal))
+    # (levels sharing bitwise-equal next values, lowest first; those values;
+    # the levels' store)
+    groups = []
+    for group in [[lv] for lv in levels if lv is UNTRUNCATED] + [finite]:
+        if group:
+            store = _Store(m, n, d)
+            store.y[:, n] = terminal
+            groups.append((group, terminal, store))
 
     for i in range(n - 1, -1, -1):
         x_i = x[:, i, :]
         reg = _StepRegressor(basis, x_i)
         split = []
-        for group, y_next in groups:
+        for group, y_next, store in groups:
             before = reg.lstsq_fallbacks
             ce, control = reg.ce_and_control(y_next[:, None], db[:, i, :],
                                              deltas[i])
@@ -568,41 +596,37 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
                 shared = (len(group) > 1 and z_max <= lo
                           and all(v <= lo for v in fed))
                 takers, group = (group, []) if shared else (group[:1], group[1:])
-                for lv in takers:
-                    run = runs[lv]
-                    run.lstsq_fallbacks[i] = fallbacks
-                    run.dropped_columns[i] = reg.dropped_columns
-                    run.realized_z_max = max(run.realized_z_max, z_max)
-                    for v in fed:
-                        run.realized_y_max = max(run.realized_y_max, v)
-                    if isinstance(result, Exception):
-                        outcome[lv] = result
-                    else:
-                        y_i, run.picard_iters[i], run.picard_residuals[i] = result
-                        run.put(i, y_i, z_i)
-                if not isinstance(result, Exception):
-                    split.append((takers, result[0]))
+                if isinstance(result, Exception):
+                    outcome.update(dict.fromkeys(takers, result))
+                    continue
+                # the last takers keep the store, a level leaving it a copy
+                own = store.split(i) if group else store
+                own.put(i, result, z_i, fallbacks, reg.dropped_columns, fed,
+                        z_max)
+                split.append((takers, result[0], own))
         groups = split
         if not groups:
             break
 
-    for lv in levels:
-        if lv in outcome:
-            continue
-        run = runs[lv]
-        diagnostics = {
-            "picard_iters": run.picard_iters,
-            "picard_residuals": run.picard_residuals,
-            "lstsq_fallbacks": run.lstsq_fallbacks,
-            "dropped_columns": run.dropped_columns,
-            "sup_y_node": float(np.abs(run.y).max()),
-            "realized_driver_y_max": run.realized_y_max,
-            "realized_driver_z_max": run.realized_z_max,
-        }
-        outcome[lv] = BackwardSolution(
-            grid=ensemble.grid, y=run.y, z=run.z, truncation_n=lv,
-            basis=basis, config=config, diagnostics=diagnostics)
-    return outcome
+    for group, _, store in groups:
+        store.y.flags.writeable = False
+        store.z.flags.writeable = False
+        # max |y| without an (M, N+1) temporary
+        sup_y_node = max(abs(float(store.y.min())), abs(float(store.y.max())))
+        for lv in group:
+            diagnostics = {
+                "picard_iters": store.picard_iters.copy(),
+                "picard_residuals": store.picard_residuals.copy(),
+                "lstsq_fallbacks": store.lstsq_fallbacks.copy(),
+                "dropped_columns": store.dropped_columns.copy(),
+                "sup_y_node": sup_y_node,
+                "realized_driver_y_max": store.realized_y_max,
+                "realized_driver_z_max": store.realized_z_max,
+            }
+            outcome[lv] = BackwardSolution(
+                grid=ensemble.grid, y=store.y, z=store.z, truncation_n=lv,
+                basis=basis, config=config, diagnostics=diagnostics)
+    return {lv: outcome[lv] for lv in levels}
 
 
 def _picard(gdriver, t, x_i, ce, z_i, dt, config, i):
@@ -748,11 +772,9 @@ def stabilization_level(
     the solves; the levels it lacks are solved in one sweep, and only
     those the walk reaches are stored or raise.
     """
-    levels = sorted(set(int(v) for v in n_list))
+    levels = sorted(set(_check_level(v) for v in n_list))
     if len(levels) < 2:
         raise ValidationError("n_list needs at least two distinct levels")
-    if levels[0] < 1:
-        raise ValidationError("truncation levels must be positive integers")
     cache = _cache if _cache is not None else {}
     pending = _sweep_uncached(cache, problem, ensemble, basis, levels, config)
     return _walk_stable(cache, pending, levels)
@@ -766,7 +788,10 @@ def _walk_stable(cache, pending, levels):
                 or sol_lo.diagnostics["realized_driver_z_max"] > lo):
             continue
         sol_hi = _solve_cached(cache, pending, hi)
-        if np.array_equal(sol_lo.y, sol_hi.y) and np.array_equal(sol_lo.z, sol_hi.z):
+        # y and z are finite by construction, so shared arrays are equal
+        if ((sol_lo.y is sol_hi.y and sol_lo.z is sol_hi.z)
+                or (np.array_equal(sol_lo.y, sol_hi.y)
+                    and np.array_equal(sol_lo.z, sol_hi.z))):
             return lo
     return NOT_FOUND
 
@@ -776,13 +801,12 @@ def _relabel(solution: BackwardSolution, level: int) -> BackwardSolution:
     driver never saw ``|y|`` or ``|z|`` above that level.
 
     Below its own level the truncation is the identity bit for bit, so
-    every higher level repeats that solve exactly: the fields and
-    diagnostics are copied and only ``truncation_n`` changes.
+    every higher level repeats that solve exactly: the read-only fields
+    are shared, the diagnostics copied, and only ``truncation_n`` changes.
     """
     diagnostics = {k: v.copy() if isinstance(v, np.ndarray) else v
                    for k, v in solution.diagnostics.items()}
-    return replace(solution, y=np.copy(solution.y), z=np.copy(solution.z),
-                   truncation_n=level, diagnostics=diagnostics)
+    return replace(solution, truncation_n=level, diagnostics=diagnostics)
 
 
 def _sweep_uncached(cache, problem, ensemble, basis, levels, config) -> dict:

@@ -381,12 +381,32 @@ def test_c12_zvonkin_transform_removes_the_drift():
 
     The residual re-applies the solve's own stencil, so it checks the
     banded solve (it reads about 9e-13 here), not how well the stencil
-    approximates the PDE."""
+    approximates the PDE.  The stencil itself is checked against a closed
+    form: for a constant drift ``c`` the solution is constant in ``x``
+    (the Neumann sides hold it), ``u = (c/lam)(1 - exp(-lam (T - t)))``.
+    Implicit Euler misses it by ``(c lam dt / 2) s exp(-lam s)`` to first
+    order in ``dt``, at ``s = T - t``, so by at most ``c dt / (2e)``:
+    1.25 times that bounds the error on 512 x 256 and 1024 x 512 nodes,
+    and refining ``dt`` by 2 divides it by 2 up to an ``O(lam dt)``
+    relative term (about 4 % here), within [1.8, 2.2]."""
     drift, _, _ = make_drift("holder_sqrt")
     zt = zvonkin_transform_1d(drift, 10.0, np.linspace(-2.0, 2.0, 512),
                               np.linspace(0.0, 1.0, 256))
     assert zt.residual() <= 1e-4, f"PDE residual {zt.residual():.2e}"
     assert zt.diffeomorphism_margin() > 0.0
+
+    c, lam = 1.0, 10.0
+    errors = []
+    for n_space, n_time in ((512, 256), (1024, 512)):
+        ts = np.linspace(0.0, 1.0, n_time)
+        zc = zvonkin_transform_1d(lambda t, x: np.full_like(x, c), lam,
+                                  np.linspace(-2.0, 2.0, n_space), ts)
+        exact = (c / lam) * (1.0 - np.exp(-lam * (1.0 - ts)))
+        err = float(np.abs(zc.u - exact[:, None]).max())
+        bound = 1.25 * c * (ts[1] - ts[0]) / (2.0 * math.e)
+        assert err <= bound, f"{n_space}x{n_time}: {err:.2e} > {bound:.2e}"
+        errors.append(err)
+    assert 1.8 <= errors[0] / errors[1] <= 2.2, f"refinement {errors}"
 
 
 def test_c13_truncation_map_invariants_hold_exhaustively():

@@ -1,6 +1,9 @@
 """Analysis-layer tests: rate fits, Zhang statistics, truncation, stability."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,68 @@ def test_truncation_ladder_builds_one_regressor_per_step(monkeypatch,
     assert all(isinstance(s, BackwardSolution) for s in cache.values())
 
 
+def test_truncation_curve_reference_shares_the_stable_fields(quad_problem,
+                                                             poly_basis):
+    # the reference 2 * 3 lies past the walk [1..5], so it is the stable
+    # level's solve relabelled: the same read-only arrays, its own records
+    grid = TimeGrid.uniform(1.0, 20)
+    rc = RunConfig(seed=11, n_paths=10000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    cache = {}
+    rep = truncation_error_curve(quad_problem, ens, poly_basis, [1, 2, 3, 4],
+                                 rc, _cache=cache)
+    assert rep.metadata["stabilization_level"] == 3
+    assert rep.metadata["reference_level"] == 6
+    ref, stable = cache[6], cache[3]
+    assert ref.truncation_n == 6
+    assert ref.y is stable.y and ref.z is stable.z
+    for key, value in stable.diagnostics.items():
+        assert np.array_equal(ref.diagnostics[key], value), key
+        if isinstance(value, np.ndarray):
+            assert ref.diagnostics[key] is not value, key
+    assert np.array_equal(rep.errors[2:], np.zeros(2))
+    assert np.array_equal(rep.stderrs[2:], np.zeros(2))
+
+
+def test_ladder_that_never_binds_holds_one_store(quad_problem, poly_basis,
+                                                 traced_peak):
+    # eight levels and the reference all lie above every |y| and |z| the
+    # driver sees, so they share one y/z pair; one pair per level was 9x
+    grid = TimeGrid.uniform(1.0, 40)
+    rc = RunConfig(seed=11, n_paths=4000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    cache = {}
+    rep, peak = traced_peak(lambda: truncation_error_curve(
+        quad_problem, ens, poly_basis, list(range(4, 12)), rc,
+        reference_level=16, _cache=cache))
+    ref = cache[16]
+    assert ref.diagnostics["realized_driver_y_max"] <= 4
+    assert ref.diagnostics["realized_driver_z_max"] <= 4
+    assert sorted(cache) == list(range(4, 12)) + [16]
+    assert all(s.y is ref.y and s.z is ref.z for s in cache.values())
+    assert np.array_equal(rep.errors, np.zeros(8))
+    assert np.array_equal(np.asarray(rep.metadata["z_errors"]), np.zeros(8))
+    assert peak < 2 * (ref.y.nbytes + ref.z.nbytes)
+
+
+def test_polynomial_truncation_curve_leaves_scipy_unloaded():
+    # scipy.linalg alone raises resident memory from about 33 to 56 MB
+    src = os.path.dirname(os.path.dirname(backward.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, qfbsde as q\n"
+        "p = q.build_problem(drift='zero', terminal='tanh', driver='colehopf')\n"
+        "rc = q.RunConfig(seed=1, n_paths=500)\n"
+        "ens = q.simulate(p, q.TimeGrid.uniform(1.0, 4), 500, 1)\n"
+        "b = q.RegressionBasis(kind='polynomial', degree=4)\n"
+        "q.truncation_error_curve(p, ens, b, [1, 2, 3, 4], rc)\n"
+        "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_truncation_curve_raises_only_what_it_reaches(poly_basis):
     # levels 1, 2, 4 and 6 settle; 3 diverges at step 1 and 8, 12 at step 3
     prob = build_problem(drift="zero", terminal="tanh", driver="linear",
@@ -239,6 +304,14 @@ def test_truncation_curve_validation(quad_problem, poly_basis, small_ensemble,
     with pytest.raises(ValidationError):
         truncation_error_curve(quad_problem, small_ensemble, poly_basis,
                                [0, 2], small_config)
+    # int() would run 2.5 as level 2, True as level 1 and "3" as level 3
+    for bad in (2.5, 3.0, True, "3", np.float64(3.0)):
+        with pytest.raises(ValidationError):
+            truncation_error_curve(quad_problem, small_ensemble, poly_basis,
+                                   [1, bad], small_config)
+        with pytest.raises(ValidationError):
+            truncation_error_curve(quad_problem, small_ensemble, poly_basis,
+                                   [1, 2], small_config, reference_level=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -580,6 +580,14 @@ def test_stabilization_level_validation(quad_problem, poly_basis,
     with pytest.raises(ValidationError):
         stabilization_level(quad_problem, small_ensemble, poly_basis,
                             [0, 2], small_config)
+    # levels are checked as lsmc_solve checks them, not rounded by int()
+    for bad in (2.5, 3.0, True, "3", np.float64(3.0)):
+        with pytest.raises(ValidationError):
+            lsmc_solve(quad_problem, small_ensemble, poly_basis, bad,
+                       small_config)
+        with pytest.raises(ValidationError):
+            stabilization_level(quad_problem, small_ensemble, poly_basis,
+                                [1, bad, 4], small_config)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +679,42 @@ def test_sweep_counts_fallbacks_per_level(quad_problem):
                                  (6, UNTRUNCATED), rc)
     for level in (6, UNTRUNCATED):
         assert np.all(swept[level].diagnostics["lstsq_fallbacks"] == 2)
+
+
+def test_ladder_levels_that_never_split_share_read_only_fields(quad_problem,
+                                                              poly_basis):
+    # a level leaves the levels above it exactly when its driver sees |y|
+    # or |z| above it, the condition the stabilization walk reads
+    grid = TimeGrid.uniform(1.0, 20)
+    rc = RunConfig(seed=11, n_paths=4000)
+    ens = simulate(quad_problem, grid, rc.n_paths, rc.seed)
+    levels = (1, 2, 3, 4, 5, 8, 16)
+    swept = backward._lsmc_sweep(quad_problem, ens, poly_basis,
+                                 levels + (UNTRUNCATED,), rc)
+    never_split = []
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        a, b = swept[lo], swept[hi]
+        stays = (a.diagnostics["realized_driver_y_max"] <= lo
+                 and a.diagnostics["realized_driver_z_max"] <= lo)
+        assert (a.y is b.y) is stays and (a.z is b.z) is stays
+        never_split.append(stays)
+    assert True in never_split and False in never_split
+    # a level that split, and the untruncated solve, own their arrays
+    owners = {}
+    for level, sol in swept.items():
+        owners.setdefault(id(sol.y), []).append(level)
+    assert len(owners) == never_split.count(False) + 2
+    held = [swept[group[0]] for group in owners.values()]
+    for a in held:
+        for b in held:
+            if a is not b:
+                assert not np.may_share_memory(a.y, b.y)
+                assert not np.may_share_memory(a.z, b.z)
+    for sol in swept.values():
+        for arr in (sol.y, sol.z):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
 
 
 def test_stabilization_walk_raises_only_what_it_reaches():
