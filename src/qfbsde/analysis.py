@@ -144,14 +144,16 @@ def zhang_zbar(
         raise ValidationError("zhang_zbar needs the solution's ensemble")
     x = ensemble.paths
     idx = _nested_indices(base.grid, partition)
-    z = base.z
     deltas = base.grid.deltas
-    m, _, d = z.shape
+    m, n, d = base.z.shape
+    # z is step-major: steps lo..hi-1 are one contiguous (hi-lo, M*d) slab
+    slabs = np.moveaxis(base.z, 1, 0).reshape(n, m * d)
     out = _step_major(m, partition.n_steps, d)
     for k in range(partition.n_steps):
         lo, hi = idx[k], idx[k + 1]
         w = deltas[lo:hi]
-        target = np.einsum("mjd,j->md", z[:, lo:hi, :], w) / w.sum()
+        target = (w @ slabs[lo:hi]).reshape(m, d)
+        target /= w.sum()
         out[:, k, :] = _StepRegressor(basis, x[:, lo, :]).project(target)
     return out
 
@@ -179,18 +181,23 @@ def path_regularity_stat(
     idx = _nested_indices(base.grid, partition)
     z = base.z
     deltas = base.grid.deltas
-    m = z.shape[0]
+    m, _, d = z.shape
     if mode == "zbar":
         zb = zhang_zbar(base, partition, ensemble=ensemble)
     per_path = np.zeros(m)
+    # one buffer each for a block's sum, a step's gap and its square norm
+    block, diff, sq = np.empty(m), np.empty((m, d)), np.empty(m)
     for k in range(partition.n_steps):
         lo, hi = idx[k], idx[k + 1]
         ref = z[:, lo, :] if mode == "left_endpoint" else zb[:, k, :]
-        block = np.zeros(m)
+        block[:] = 0.0
         for j in range(lo, hi):
-            diff = z[:, j, :] - ref
-            block += np.einsum("md,md->m", diff, diff) * deltas[j]
-        per_path += block ** (0.5 * p)
+            np.subtract(z[:, j, :], ref, out=diff)
+            np.einsum("md,md->m", diff, diff, out=sq)
+            sq *= deltas[j]
+            block += sq
+        block **= 0.5 * p
+        per_path += block
     value = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / math.sqrt(m))
     return value, stderr

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .core import (
     ValidationError,
     _check_level,
     _step_major,
+    rho_truncate,
 )
 from .forward import PathEnsemble
 
@@ -223,6 +224,39 @@ def _monomials(dim: int, degree: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _moment_table(dim: int, degree: int):
+    """Where each entry of a polynomial design's Gram comes from.
+
+    Entry ``(a, b)`` of ``AᵀA`` is ``Σ_m x_m^(e_a + e_b)``, so it depends
+    only on the sum of the two columns' exponent vectors.  Returns
+    ``(p, q, table)``: moment ``t`` is ``A[:, p[t]] · A[:, q[t]]`` and
+    ``table[a, b]`` is the moment of entry ``(a, b)``.  A moment that sits
+    on the diagonal is taken from that column with itself, so the Gram's
+    diagonal is each column's own sum of squares, zero exactly when the
+    column is.
+    """
+    exps = [(0,) * dim] + _monomials(dim, degree)
+    k = len(exps)
+    first = {}  # exponent sum -> moment number
+    p, q = [], []
+    table = np.empty((k, k), dtype=np.intp)
+    for a in range(k):
+        for b in range(a, k):
+            s = tuple(u + v for u, v in zip(exps[a], exps[b]))
+            if s not in first:
+                first[s] = len(p)
+                p.append(a)
+                q.append(b)
+            elif a == b:
+                p[first[s]] = q[first[s]] = a
+            table[a, b] = table[b, a] = first[s]
+    out = np.array(p), np.array(q), table
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 _MAX_BUCKETS = 4096
 
 
@@ -273,20 +307,21 @@ class _StepRegressor:
     there in sample.  Designs with no more paths than basis functions are
     rejected: they interpolate instead of regress.
 
-    A polynomial design is stored as its dense ``(M, K)`` matrix.  A hat
-    design is stored as :func:`_hat_cells` gives it, each state's cell and
-    two weights, so its Gram (tridiagonal), ``Aᵀy`` and fitted values cost
-    O(M) each.  Both kinds then follow the same rules.  Columns that do not
-    vary are dropped, except one intercept (``dropped_columns`` counts the
-    rest), and with no varying column the fit is the sample mean.  The
-    unit-column scaling that the ridge floor refers to lives on the Gram:
-    ``gram`` is ``S AᵀA S + ridge·I`` with ``S = diag(scale)`` the inverse
-    column norms, and ``project`` applies ``scale`` to the right-hand side
-    and to the coefficients.  A ``gram`` of lower numerical rank
-    (``np.linalg.matrix_rank``) is decided once, at construction: every
-    solve on it goes to least squares and is counted in
-    ``lstsq_fallbacks``.  Unit-scaled columns bound the condition number by
-    ``(K + ridge) / ridge``, so only a ridge below ``K**2`` machine
+    A polynomial design is stored as its dense ``(M, K)`` matrix, and its
+    Gram is assembled from the design's distinct moments
+    (:func:`_moment_table`).  A hat design is stored as :func:`_hat_cells`
+    gives it, each state's cell and two weights, so its Gram (tridiagonal),
+    ``Aᵀy`` and fitted values cost O(M) each.  Both kinds then follow the
+    same rules.  Columns that do not vary are dropped, except one intercept
+    (``dropped_columns`` counts the rest), and with no varying column the
+    fit is the sample mean.  The unit-column scaling that the ridge floor
+    refers to lives on the Gram: ``gram`` is ``S AᵀA S + ridge·I`` with
+    ``S = diag(scale)`` the inverse column norms, and ``project`` applies
+    ``scale`` to the right-hand side and to the coefficients.  A ``gram``
+    of lower numerical rank (``np.linalg.matrix_rank``) is decided once, at
+    construction: every solve on it goes to least squares and is counted
+    in ``lstsq_fallbacks``.  Unit-scaled columns bound the condition number
+    by ``(K + ridge) / ridge``, so only a ridge below ``K**2`` machine
     epsilons needs the rank test.
     """
 
@@ -313,7 +348,11 @@ class _StepRegressor:
             self.dropped_columns = n_features - 1
             return
         if a is not None:
-            g = a.T @ a
+            # the Gram from its distinct moments: BLAS syrk on a skinny
+            # (M, K) design runs far below its arithmetic rate
+            p, q, table = _moment_table(dim, basis.degree)
+            g = np.array([np.dot(a[:, i], a[:, j]) for i, j in zip(p, q)])
+            g = g[table]
         norms = np.sqrt(np.diag(g))
         kept = nonconst.copy()
         # keep a single intercept column in front of the varying ones
@@ -342,7 +381,11 @@ class _StepRegressor:
         """In-sample fitted values for ``(M,)`` or ``(M, k)`` targets."""
         y = np.asarray(targets, dtype=float)
         squeeze = y.ndim == 1
-        y2 = y[:, None] if squeeze else y
+        # column-major targets: the reductions below run along contiguous
+        # columns (numpy's axis-0 reduction over a C-ordered (M, k >= 2)
+        # array is two orders of magnitude slower), and the result does not
+        # depend on the caller's memory layout
+        y2 = y[:, None] if squeeze else np.asfortranarray(y)
         # the projection of a constant column is that constant (the span
         # always reproduces constants here); returning it directly keeps
         # degenerate chains — constant terminals, zero increments — exact
@@ -560,14 +603,15 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
     db = ensemble.increments
     m, n1, d = x.shape
     n = n1 - 1
-    drivers = {lv: problem.driver.truncated(lv) for lv in levels}
     times, deltas = ensemble.grid.times, ensemble.grid.deltas
     outcome: dict = {}
+    # the sort key validates every finite level before any work
+    finite = sorted((lv for lv in levels if lv is not UNTRUNCATED),
+                    key=_check_level)
 
     terminal = np.asarray(problem.terminal(x[:, n, :]), dtype=float)
     if not np.all(np.isfinite(terminal)):
         raise ValidationError("terminal condition produced non-finite values")
-    finite = sorted((lv for lv in levels if lv is not UNTRUNCATED), key=int)
     # (levels sharing bitwise-equal next values, lowest first; those values;
     # the levels' store)
     groups = []
@@ -591,8 +635,8 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
             z_max = float(np.abs(z_i).max())
             while group:
                 lo = group[0]
-                result, fed = _picard(drivers[lo], times[i], x_i, ce, z_i,
-                                      deltas[i], config, i)
+                result, fed = _picard(problem.driver, lo, times[i], x_i, ce,
+                                      z_i, z_max, deltas[i], config, i)
                 shared = (len(group) > 1 and z_max <= lo
                           and all(v <= lo for v in fed))
                 takers, group = (group, []) if shared else (group[:1], group[1:])
@@ -629,9 +673,12 @@ def _lsmc_sweep(problem, ensemble, basis, levels, config) -> dict:
     return {lv: outcome[lv] for lv in levels}
 
 
-def _picard(gdriver, t, x_i, ce, z_i, dt, config, i):
-    """Picard iteration for ``y = ce + dt * g(t, x_i, y, z_i)`` at step ``i``.
+def _picard(driver, level, t, x_i, ce, z_i, z_max, dt, config, i):
+    """Picard iteration for ``y = ce + dt * g_n(t, x_i, y, z_i)`` at step ``i``.
 
+    ``g_n`` is ``driver.truncated(level)``, applied bit for bit: ``z_i``
+    (with ``max|z_i| = z_max``) is truncated once, not in every sweep, and
+    each iterate's truncation reuses the maximum recorded in ``fed``.
     Returns ``(result, fed)``: ``result`` is ``(y, sweeps, last residual)``
     or the exception that stopped the iteration, and ``fed`` lists
     ``max|y|`` of each iterate passed to the driver.
@@ -642,9 +689,12 @@ def _picard(gdriver, t, x_i, ce, z_i, dt, config, i):
     grow = 0
     residuals = []
     try:
+        zt = _truncate(z_i, level, z_max)
         for sweep in range(config.picard_max):
             fed.append(float(np.abs(yk).max()))
-            gval = np.asarray(gdriver.g(t, x_i, yk, z_i), dtype=float)
+            gval = np.asarray(
+                driver.g(t, x_i, _truncate(yk, level, fed[-1]), zt),
+                dtype=float)
             if not np.all(np.isfinite(gval)):
                 raise ValidationError(
                     f"driver produced non-finite values at step {i}")
@@ -667,6 +717,14 @@ def _picard(gdriver, t, x_i, ce, z_i, dt, config, i):
             step=i, residuals=residuals)
     except Exception as exc:
         return exc, fed
+
+
+def _truncate(arr, level, amax):
+    """``rho_truncate(arr, level)`` bit for bit, given ``amax = max|arr|``;
+    ``arr`` itself at ``UNTRUNCATED``."""
+    if level is UNTRUNCATED:
+        return arr
+    return arr + 0.0 if amax <= level else rho_truncate(arr, level)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,35 @@ def test_polynomial_truncation_curve_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
+def test_regularity_statistics_and_storage_leave_scipy_unloaded(tmp_path):
+    # the path of the fine-regularity benchmark: a polynomial solve, both
+    # statistics and an artifact round trip; scipy would cost set-up time
+    # and resident memory there
+    src = os.path.dirname(os.path.dirname(backward.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, qfbsde as q\n"
+        "from qfbsde import storage\n"
+        "p = q.build_problem(drift='zero', terminal='tanh', driver='colehopf')\n"
+        "rc = q.RunConfig(seed=1, n_paths=500)\n"
+        "ens = q.simulate(p, q.TimeGrid.uniform(1.0, 8), 500, 1)\n"
+        "b = q.RegressionBasis(kind='polynomial', degree=4)\n"
+        "sol = q.lsmc_solve(p, ens, b, 8, rc)\n"
+        "part = q.TimeGrid.uniform(1.0, 4)\n"
+        "for mode in ('left_endpoint', 'zbar'):\n"
+        "    q.path_regularity_stat(sol, part, mode=mode, ensemble=ens)\n"
+        f"d = {str(tmp_path)!r}\n"
+        "storage.save_ensemble(d + '/e.bin', ens)\n"
+        "storage.save_solution(d + '/s.bin', sol)\n"
+        "storage.load_ensemble(d + '/e.bin')\n"
+        "storage.load_solution(d + '/s.bin')\n"
+        "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_truncation_curve_raises_only_what_it_reaches(poly_basis):
     # levels 1, 2, 4 and 6 settle; 3 diverges at step 1 and 8, 12 at step 3
     prob = build_problem(drift="zero", terminal="tanh", driver="linear",

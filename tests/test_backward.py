@@ -319,6 +319,118 @@ def test_hat_solve_leaves_scipy_linalg_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6])
+def test_moment_gram_matches_dense_gram(dim, degree):
+    rng = np.random.Generator(np.random.Philox(key=12))
+    states = 1.3 * rng.normal(size=(2000, dim)) + 0.2
+    basis = RegressionBasis(kind="polynomial", degree=degree, ridge=0.0)
+    reg = backward._StepRegressor(basis, states)
+    if degree == 0:
+        assert reg.mean_only
+        return
+    a = basis.design(states)
+    dense = a.T @ a
+    s = 1.0 / np.sqrt(np.diag(dense))
+    assert reg.kept.all()
+    # unit-scaled entries: relative to the two columns' norms
+    assert np.abs(reg.gram - dense * np.outer(s, s)).max() <= 1e-13
+
+
+def test_moment_table_sums_exponents_once_per_dim_and_degree():
+    backward._moment_table.cache_clear()
+    rng = np.random.Generator(np.random.Philox(key=13))
+    for ridge in (1e-10, 0.0):
+        for dim in (1, 2):
+            basis = RegressionBasis(kind="polynomial", degree=4, ridge=ridge)
+            for _ in range(3):
+                backward._StepRegressor(basis, rng.normal(size=(200, dim)))
+    assert backward._moment_table.cache_info().misses == 2
+    for dim, n_moments in ((1, 9), (2, 45), (3, 84)):
+        degree = 4 if dim < 3 else 3
+        p, q, table = backward._moment_table(dim, degree)
+        exps = np.array([(0,) * dim] + backward._monomials(dim, degree))
+        sums = (exps[:, None] + exps[None, :]).reshape(-1, dim)
+        assert p.size == n_moments == len({tuple(e) for e in sums})
+        assert np.array_equal(table, table.T)
+        # each entry's moment is produced by its representative pair
+        assert np.array_equal((exps[p] + exps[q])[table],
+                              exps[:, None] + exps[None, :])
+        # diagonal moments come from the column with itself
+        diag = table[np.arange(len(exps)), np.arange(len(exps))]
+        assert np.array_equal(p[diag], np.arange(len(exps)))
+        assert np.array_equal(q[diag], np.arange(len(exps)))
+
+
+@pytest.mark.parametrize("case", ["equal1", "equal2", "zero2", "coin1",
+                                  "coin2", "binary1"])
+@pytest.mark.parametrize("ridge", [0.0, 1e-10])
+def test_moment_gram_keeps_the_dense_decisions_on_degenerate_states(case,
+                                                                     ridge):
+    rng = np.random.Generator(np.random.Philox(key=14))
+    m = 400
+    if case == "equal1":
+        states = np.full((m, 1), 0.7)
+    elif case == "equal2":
+        states = np.tile([0.7, -1.2], (m, 1))
+    elif case == "zero2":
+        states = np.zeros((m, 2))
+    elif case == "coin1":
+        # x^2 and x^4 are constant, x^3 is x
+        states = rng.choice([-1.0, 1.0], size=(m, 1))
+    elif case == "coin2":
+        states = rng.choice([-1.0, 1.0], size=(m, 2))
+    else:
+        # every power of x is x
+        states = rng.choice([0.0, 1.0], size=(m, 1))
+    basis = RegressionBasis(kind="polynomial", degree=4, ridge=ridge)
+    reg = backward._StepRegressor(basis, states)
+    # the dense route's decisions, as _dense_fit takes them
+    a = basis.design(states)
+    nonconst = a.max(axis=0) - a.min(axis=0) > 0.0
+    n_features = basis.n_features(states.shape[1])
+    assert reg.mean_only == (not nonconst.any())
+    if reg.mean_only:
+        assert case in ("equal1", "equal2", "zero2")
+        assert reg.dropped_columns == n_features - 1
+        return
+    kept = nonconst.copy()
+    live = np.flatnonzero(~nonconst & (np.diag(a.T @ a) > 0.0))
+    if live.size:
+        kept[live[0]] = True
+    assert np.array_equal(reg.kept, kept)
+    assert reg.dropped_columns == n_features - kept.sum()
+    # the moments are sums of integers: the dense Gram bit for bit
+    a = a[:, kept]
+    g = a.T @ a
+    s = 1.0 / np.sqrt(np.diag(g))
+    g = g * np.outer(s, s) + ridge * np.eye(g.shape[0])
+    assert np.array_equal(reg.gram, g)
+    k = g.shape[0]
+    assert reg.singular == (ridge < k * k * np.finfo(float).eps
+                            and np.linalg.matrix_rank(g) < k)
+    # x = x^3 (coin) and x = x^2 = ... (binary) leave duplicate columns
+    assert reg.singular == (ridge == 0.0)
+
+
+@pytest.mark.parametrize("basis", [
+    RegressionBasis(kind="polynomial", degree=4),
+    RegressionBasis(kind="piecewise_linear", bins=8),
+], ids=["polynomial", "hat"])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_project_ignores_the_targets_memory_layout(basis, k):
+    rng = np.random.Generator(np.random.Philox(key=15))
+    m = 3000
+    states = rng.normal(size=(m, 1))
+    targets = np.tanh(states) + rng.normal(size=(m, k))
+    targets[:, 1] = 0.25  # a constant column takes the exact path
+    assert targets.flags.c_contiguous and not targets.flags.f_contiguous
+    reg = backward._StepRegressor(basis, states)
+    fitted = reg.project(targets)
+    assert np.array_equal(fitted, reg.project(np.asfortranarray(targets)))
+    assert np.all(fitted[:, 1] == 0.25)
+
+
 def _coin_ensemble(n_paths, grid, seed, n_plus):
     """States in {-1, 1} at every node: x and x^3 are the same column.
 
@@ -470,6 +582,34 @@ def test_lsmc_raises_on_divergent_picard(poly_basis):
         lsmc_solve(prob, ens, poly_basis, UNTRUNCATED, rc)
     assert err.value.residuals
     assert err.value.step == grid.n_steps - 1
+
+
+@pytest.mark.parametrize("level", [1, 2, UNTRUNCATED])
+def test_picard_truncates_bitwise_as_the_truncated_driver(quad_problem, level):
+    # |z| reaches about 6 and |y| about 3, so levels 1 and 2 bind on both
+    rng = np.random.Generator(np.random.Philox(key=16))
+    m, dt = 3000, 0.01
+    x = rng.normal(size=(m, 1))
+    ce = np.tanh(3.0 * x[:, 0]) * 3.0
+    z = 1.5 * rng.normal(size=(m, 1))
+    config = RunConfig(seed=1, n_paths=m)
+    gdriver = quad_problem.driver.truncated(level)
+    # the iteration with the driver applied as DriverSpec.truncated builds it
+    yk, ref = ce, None
+    for sweep in range(config.picard_max):
+        y_new = ce + dt * gdriver.g(0.3, x, yk, z)
+        res = float(np.abs(y_new - yk).max())
+        yk = y_new
+        if res <= config.picard_tol:
+            ref = (yk, sweep + 1, res)
+            break
+    assert ref is not None and ref[1] > 1
+    (y, sweeps, res), fed = backward._picard(
+        quad_problem.driver, level, 0.3, x, ce, z, float(np.abs(z).max()), dt,
+        config, 0)
+    assert np.array_equal(y, ref[0]) and (sweeps, res) == ref[1:]
+    if level is not UNTRUNCATED:
+        assert min(fed) > level and np.abs(z).max() > level
 
 
 def test_lsmc_builds_one_step_regressor_per_step(monkeypatch, quad_problem,
