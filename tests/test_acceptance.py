@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from qfbsde import forward
 from qfbsde import (
     UNTRUNCATED,
     DerivativeSolution,
@@ -368,10 +369,36 @@ def test_c10_gradient_bsde_matches_finite_differences(lab):
 
 def test_c11_transform_ode_tables_solve_the_ode():
     """With f1(u) = 1 + u and 4096 steps the tabulated map satisfies
-    0.5 v'' - f1 v' = 0.5 to 1e-6 at every interior node."""
+    0.5 v'' - f1 v' = 0.5 to 1e-6 at every interior node.
+
+    The residual differences the ``v`` table, so it stalls near 6e-8 under
+    refinement; the table's ``v'`` is also checked against its closed form.
+    Here ``F = y + y^2/2`` (the trapezoid rule integrates the linear
+    ``f1`` exactly) and ``2F = (y+1)^2 - 1``, so
+    ``kappa = e (sqrt(pi)/2)(erf(y+1) - erf(1))`` and ``v' = kappa e^{2F}``.
+    The table's ``kappa`` is the trapezoid rule for ``g = e^{-2F}``, whose
+    error is ``(h^2/12)(g'(y) - g'(0)) + O(h^4)`` (Euler-Maclaurin); ``g'``
+    rises from -2 towards 0 on ``[0, 1/2]``, so to second order the ``v'``
+    error is at most ``(h^2/6) e^{2F(1/2)} = h^2 e^{5/4} / 6``.  That bounds
+    it on 2048 and 4096 panels, and halving ``h`` divides the error by 4
+    up to an ``O(h^2)`` relative term, within [3.8, 4.2]."""
     tables = transform_tables(lambda u: 1.0 + u, 0.5, 4096)
     residual = float(transform_residual(tables).max())
     assert residual <= 1e-6, f"max interior residual {residual:.2e} > 1e-6"
+
+    errors = []
+    for steps in (2048, 4096):
+        tab = transform_tables(lambda u: 1.0 + u, 0.5, steps)
+        y = tab.xs
+        kappa = math.e * 0.5 * math.sqrt(math.pi) * (
+            forward._erf(y + 1.0) - forward._erf(np.ones_like(y)))
+        exact = kappa * np.exp(2.0 * y + y * y)
+        err = float(np.abs(tab.v_prime - exact).max())
+        h = y[1] - y[0]
+        bound = h * h * math.exp(1.25) / 6.0
+        assert err <= bound, f"{steps} panels: v' off by {err:.2e} > {bound:.2e}"
+        errors.append(err)
+    assert 3.8 <= errors[0] / errors[1] <= 4.2, f"refinement {errors}"
 
 
 def test_c12_zvonkin_transform_removes_the_drift():

@@ -257,6 +257,54 @@ def test_smoothed_sign_is_erf_to_four_ulp():
     assert np.signbit(vals[-2]) and not np.signbit(vals[-1])
 
 
+def _erf_two_forms(x):
+    """The reference: both rational forms on every (clipped) element,
+    then selected."""
+    x = np.clip(x, -6.0, 6.0)
+    a = np.abs(x)
+    z = x * x
+    inner = (x * forward._horner(forward._ERF_T, z)
+             / forward._horner(forward._ERF_U, z))
+    outer = np.copysign(1.0 - np.exp(-z) * forward._horner(forward._ERFC_P, a)
+                        / forward._horner(forward._ERFC_Q, a), x)
+    return np.where(a < 1.0, inner, outer)
+
+
+def _erf_probe_points():
+    edges = np.array([1.0, 6.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf)])
+    tiny = np.array([5e-324, 1e-310, np.finfo(float).tiny,
+                     np.nextafter(np.finfo(float).tiny, 0.0)])
+    spread = np.random.Generator(np.random.Philox(key=3)).uniform(
+        -8.0, 8.0, size=2000)
+    special = np.array([0.0, np.nan, np.inf, 1e300])
+    half = np.concatenate([edges, tiny, special, np.linspace(0.0, 7.0, 701)])
+    return np.concatenate([half, -half, spread])
+
+
+@pytest.mark.parametrize("layout", ["flat", "column", "two-columns",
+                                    "strided", "fortran", "column-view"])
+def test_erf_skips_only_what_saturates_bit_for_bit(layout):
+    # the gathered evaluation equals the two-form one on every bit: at
+    # +-1 and +-6 and their neighbours, signed zeros, NaN, infinities,
+    # subnormals, and for every input shape and layout
+    x = _erf_probe_points()
+    x = {"flat": x,
+         "column": x[:, None],
+         "two-columns": x.reshape(-1, 2),
+         "strided": x[::3],
+         "fortran": np.asfortranarray(x.reshape(-1, 2)),
+         "column-view": x.reshape(-1, 2)[:, 1:]}[layout]
+    got, ref = forward._erf(x), _erf_two_forms(x)
+    assert got.shape == ref.shape == x.shape
+    assert got.tobytes() == ref.tobytes()
+    flat = np.ravel(got)
+    assert np.array_equal(np.signbit(flat[np.ravel(x) == 0.0]),
+                          np.signbit(np.ravel(x)[np.ravel(x) == 0.0]))
+    assert np.all(np.isnan(flat[np.isnan(np.ravel(x))]))
+
+
 def test_smoothed_sign_is_odd_and_bounded():
     drift = _smoothed_sign_problem().drift
     xs = np.linspace(-3.0, 3.0, 6001)[:, None]
@@ -524,32 +572,89 @@ def test_continuity_diagnostic_rejects_degenerate_pairs():
                               n_steps=8, n_paths=50, seed=1)
 
 
-def test_continuity_diagnostic_matches_full_grid_paths():
-    # each start runs only up to the node it is read at; the ratios equal
-    # the ones read off full-grid paths bit for bit, node 0 included
-    prob = build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
-                         drift="sign", terminal="tanh", driver="colehopf",
-                         mollify_eps=0.1)
-    pairs = [
-        (0.0, 0.5, np.zeros(1), np.ones(1)),     # s snaps to node 0
-        (0.01, 0.3, -np.ones(1), np.ones(1)),    # s rounds down to node 0
-        (0.4, 1.0, np.ones(1), 0.5 * np.ones(1)),
-    ]
+def _probe_problem(kind):
+    if kind == "quadrature":
+        return build_problem(dim=1, x0=np.zeros(1), horizon=1.0,
+                             drift="holder_sqrt", mollify_eps=0.1,
+                             mollify_quad_points=16)
+    return _smoothed_sign_problem(dim=2 if kind == "sign-2d" else 1)
+
+
+def _probe_pairs(d, seed):
+    """c08's generator: 20 pairs, then pairs read at node 0 and node N and
+    repeated starts written over the first ones."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pairs = []
+    for _ in range(20):
+        s, t = np.sort(rng.uniform(0.0, 1.0, size=2))
+        x, y = rng.uniform(-2.0, 2.0, size=(2, d))
+        pairs.append((float(s), float(t), x, y))
+    s, t, x, y = pairs[0]
+    pairs[0] = (0.0, t, x, y)                    # s at node 0
+    pairs[1] = (0.01, 1.0) + pairs[1][2:]        # s rounds to 0, t at N
+    pairs[2] = (0.0, 1.0) + pairs[2][2:]         # nodes 0 and N
+    pairs[3] = pairs[3][:2] + (y, x)             # pair 0's starts, swapped
+    pairs[4] = (0.25, 0.75, x, x)                # x == y, distinct times
+    pairs[5] = pairs[6]                          # a repeated pair
+    return pairs
+
+
+def test_continuity_diagnostic_matches_full_grid_paths(monkeypatch):
+    # one sweep advances every start up to the node it is read at; the
+    # ratios equal the ones read off per-start full-grid paths bit for bit,
+    # node 0 and node N included, in one block of pairs or in blocks of 3
+    # (2000 // (2 * 300) pairs), for the closed-form smoothed sign in one
+    # and two dimensions and for a quadrature-smoothed drift
     n_steps, n_paths, seed = 16, 300, 8
-    rep = continuity_diagnostic(prob, pairs, n_steps=n_steps,
-                                n_paths=n_paths, seed=seed)
     grid = TimeGrid.uniform(1.0, n_steps)
-    inc = sample_brownian(grid, n_paths, 1, seed)
-    for idx, (s, t, x, y) in enumerate(pairs):
-        i_s, i_t = round(s * n_steps), round(t * n_steps)
-        xt = euler_maruyama(prob, grid, inc, x0=x).paths[:, i_t, :]
-        ys = euler_maruyama(prob, grid, inc, x0=y).paths[:, i_s, :]
-        sq = np.sum((xt - ys) ** 2, axis=1)
-        denom = abs(grid.times[i_t] - grid.times[i_s]) + float(
-            np.sum((x - y) ** 2))
-        assert rep.ratios[idx] == sq.mean() / denom
-        assert rep.std_errors[idx] == (
-            sq.std(ddof=1) / math.sqrt(n_paths) / denom)
+    for kind in ("sign-1d", "sign-2d", "quadrature"):
+        prob = _probe_problem(kind)
+        pairs = _probe_pairs(prob.dim, seed)
+        inc = sample_brownian(grid, n_paths, prob.dim, seed)
+        ref = np.empty((2, len(pairs)))
+        for idx, (s, t, x, y) in enumerate(pairs):
+            i_s, i_t = round(s * n_steps), round(t * n_steps)
+            xt = euler_maruyama(prob, grid, inc, x0=x).paths[:, i_t, :]
+            ys = euler_maruyama(prob, grid, inc, x0=y).paths[:, i_s, :]
+            sq = np.sum((xt - ys) ** 2, axis=1)
+            denom = abs(grid.times[i_t] - grid.times[i_s]) + float(
+                np.sum((x - y) ** 2))
+            ref[:, idx] = (sq.mean() / denom,
+                           sq.std(ddof=1) / math.sqrt(n_paths) / denom)
+        for points in (forward._NODE_AVERAGE_POINTS, 2000):
+            monkeypatch.setattr(forward, "_NODE_AVERAGE_POINTS", points)
+            rep = continuity_diagnostic(prob, pairs, n_steps=n_steps,
+                                        n_paths=n_paths, seed=seed)
+            assert rep.ratios.tobytes() == ref[0].tobytes(), (kind, points)
+            assert rep.std_errors.tobytes() == ref[1].tobytes(), (kind, points)
+        monkeypatch.undo()
+        assert rep.ratios[5] == rep.ratios[6]
+
+
+def test_continuity_diagnostic_fails_loudly_on_one_bad_start():
+    # the drift turns NaN from t = 0.25 on, and only above x = 50, which
+    # one start of one pair reaches; the batched call still raises
+    def drift(t, x):
+        out = np.zeros_like(x)
+        if t >= 0.25:
+            out[x[:, 0] > 50.0] = np.nan
+        return out
+
+    prob = _zero_drift_problem(1).with_drift(drift)
+    pairs = [(0.1, 0.9, [0.0], [0.5]), (0.2, 0.5, [100.0], [0.0])]
+    with pytest.raises(DriftEvaluationError, match=r"t=0\.25$"):
+        continuity_diagnostic(prob, pairs, n_steps=8, n_paths=50, seed=1)
+    inc = sample_brownian(TimeGrid.uniform(1.0, 8), 50, 1, seed=1)
+    with pytest.raises(DriftEvaluationError, match=r"t=0\.25$"):
+        euler_maruyama(prob, TimeGrid.uniform(1.0, 8), inc, x0=[100.0])
+
+
+def test_continuity_diagnostic_refuses_a_misshapen_drift():
+    prob = _zero_drift_problem(1).with_drift(
+        lambda t, x: np.zeros(x.shape[0]))
+    with pytest.raises(ValidationError, match="drift returned shape"):
+        continuity_diagnostic(prob, [(0.1, 0.9, [0.0], [0.5])],
+                              n_steps=8, n_paths=50, seed=1)
 
 
 @pytest.mark.parametrize("times, lam", [
